@@ -25,8 +25,6 @@ int main() {
   auto emit_json = [](const std::string& benchmark, const std::string& shape,
                       double baseline_s, double cham_s) {
     BenchLine("headline/" + benchmark + "/" + shape)
-        .field("benchmark", benchmark)
-        .field("shape", shape)
         .field("baseline_s", baseline_s)
         .gated("cham_s", cham_s, lower_is_better(0.1))
         .gated("speedup", baseline_s / cham_s, higher_is_better(0.9))

@@ -657,8 +657,6 @@ void bench_crt(TablePrinter& table) {
   const auto emit_rns = [](const std::string& op, const std::string& shape,
                            double ns_per_coeff, double speedup) {
     BenchLine("rns/" + op + "/" + shape)
-        .field("rns", op)
-        .field("shape", shape)
         .gated("ns_per_coeff", ns_per_coeff, kKernelTime)
         .gated("speedup", speedup, kKernelRatio)
         .emit();

@@ -321,9 +321,6 @@ int run(int clients, int per_client, int max_batch) {
   // is format-determined, so any drift is a serializer change.
   const std::string shape = std::to_string(kRows) + "x" + std::to_string(kCols);
   BenchLine("server/hmvp_serve/" + shape + "@c" + std::to_string(clients))
-      .field("server", "hmvp_serve")
-      .field("shape", shape)
-      .field("clients", clients)
       .field("requests", ok)
       .gated("req_s", req_s, kThroughput)
       .gated("p50_ms", p50, kLatency)
@@ -388,9 +385,6 @@ int run(int clients, int per_client, int max_batch) {
       std::to_string(kAbRows) + "x" + std::to_string(kAbCols);
   BenchLine("server/hmvp_serve_ab/" + ab_shape + "@c" +
             std::to_string(ab_clients))
-      .field("server", "hmvp_serve_ab")
-      .field("shape", ab_shape)
-      .field("clients", ab_clients)
       .field("requests", ab_clients * ab_per_client)
       .gated("bsgs_req_s", bsgs_arm.req_s, kThroughput)
       .gated("coeff_req_s", coeff_arm.req_s, kThroughput)

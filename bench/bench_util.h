@@ -142,9 +142,7 @@ inline void emit_kernel_line(const std::string& kernel, double ns_per_coeff,
                              int threads,
                              std::optional<double> speedup = std::nullopt) {
   BenchLine line("kernels/" + kernel + "@t" + std::to_string(threads));
-  line.field("kernel", kernel)
-      .field("threads", threads)
-      .gated("ns_per_coeff", ns_per_coeff, kKernelTime);
+  line.gated("ns_per_coeff", ns_per_coeff, kKernelTime);
   if (speedup) line.gated("speedup", *speedup, kKernelRatio);
   line.emit();
 }
@@ -245,8 +243,6 @@ inline void steady_state_hmvp(PaperFixture& f, std::size_t rows, u64 seed) {
             << " system allocation(s)/run, peak RSS "
             << TablePrinter::num(peak_rss_mb(), 1) << " MiB\n";
   BenchLine("headline/steady_state_hmvp/" + shape)
-      .field("benchmark", "steady_state_hmvp")
-      .field("shape", shape)
       .gated("alloc_count", delta, kExact)
       .gated("peak_rss_mb", peak_rss_mb(), kPeakRss)
       .emit();

@@ -44,6 +44,8 @@ class BfvContext : public std::enable_shared_from_this<BfvContext> {
   // left by r. The one implementation: BatchEncoder, Evaluator and the
   // BSGS key planner all forward here.
   u64 rotation_galois_element(std::size_t r) const;
+  // Galois element 2N - 1 that swaps the two slot rows.
+  u64 row_swap_galois_element() const { return 2 * n() - 1; }
 
  private:
   BfvContext() = default;

@@ -52,7 +52,9 @@ class BatchEncoder {
     return ctx_->rotation_galois_element(r);
   }
   // Galois element that swaps the two rows: 2N - 1.
-  u64 row_swap_galois_element() const { return 2 * ctx_->n() - 1; }
+  u64 row_swap_galois_element() const {
+    return ctx_->row_swap_galois_element();
+  }
 
  private:
   BfvContextPtr ctx_;

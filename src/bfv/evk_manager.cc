@@ -176,23 +176,36 @@ std::shared_ptr<const BsgsKeys> EvkManager::bsgs_keys(const GaloisKeys& gk,
   // Assembly outside the lock: tables and KSK freezes are each
   // exactly-once cached, so a racing assembly only duplicates shared_ptr
   // plumbing.
-  auto make_rot = [&](std::size_t r) {
+  auto make_rot = [&](std::size_t r, u64 element) {
     BsgsKeys::Rot rot;
     rot.r = r;
-    rot.element = ctx_->rotation_galois_element(r);
-    rot.ntt = automorph_table_ntt(rot.element);
-    rot.ksk = frozen(gk.get(rot.element));
+    rot.element = element;
+    rot.ntt = automorph_table_ntt(element);
+    rot.ksk = frozen(gk.get(element));
+    return rot;
+  };
+  auto rotation = [&](std::size_t r) {
+    return make_rot(r, ctx_->rotation_galois_element(r));
+  };
+  // Lead rotations and folds act on base_q, coefficient-domain ciphertexts.
+  auto with_coeff = [&](BsgsKeys::Rot rot) {
+    rot.coeff = automorph_table(rot.element);
     return rot;
   };
   auto keys = std::make_shared<BsgsKeys>();
-  for (std::size_t i = 1; i < baby; ++i) keys->babies.push_back(make_rot(i));
+  const std::size_t terms = baby >= 2 ? baby / 2 : 1;
+  if (baby >= 2) {
+    const BsgsKeys::Rot swap =
+        with_coeff(make_rot(0, ctx_->row_swap_galois_element()));
+    keys->lead = {with_coeff(rotation(terms)), swap};
+    keys->folds.push_back(swap);
+  }
+  for (std::size_t i = 1; i < terms; ++i) keys->babies.push_back(rotation(i));
   for (std::size_t r = baby; r < diags; r += baby) {
-    keys->giants.push_back(make_rot(r));
+    keys->giants.push_back(rotation(r));
   }
   for (std::size_t r = n_cols / 2; r >= diags; r /= 2) {
-    BsgsKeys::Rot rot = make_rot(r);
-    rot.coeff = automorph_table(rot.element);
-    keys->folds.push_back(std::move(rot));
+    keys->folds.push_back(with_coeff(rotation(r)));
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
   return bsgs_.emplace(key, std::move(keys)).first->second;

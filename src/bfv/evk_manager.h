@@ -43,24 +43,35 @@ struct FrozenKsk {
 };
 
 // Frozen rotation operands for one BSGS plan over D extended diagonals
-// of an n-column matrix with b baby steps: the baby-step rotations
-// r = 1..b-1, the giant-step rotations r = j·b (j < D/b) and the
-// rotate-and-sum folds r = n/2, n/4, ..., D. Each carries its routing
+// of an n-column matrix with b baby steps. A plan with b >= 2 fills both
+// slot rows: its lead rotations turn ct(v) into ct + swap(rot_h(ct)) with
+// h = b/2, so row 1 carries v rotated by h and each baby rotation
+// r = 1..h-1 serves baby steps r and r + h at once; its first fold adds
+// the row swap back. A plan with b = 1 has no baby step to share and uses
+// row 0 alone. Then come the giant-step rotations r = j·b (j < D/b) and
+// the rotate-and-sum folds r = n/2, n/4, ..., D. Each carries its routing
 // tables and the Shoup-frozen Galois KSK resolved once — the hoisted BSGS
 // inner loops touch no registry locks and no key freezing. Babies and
-// giants permute evaluation slots only; the folds rotate the rescaled,
-// coefficient-domain result, so only they carry the coefficient table.
+// giants permute evaluation slots only; the lead rotations and the folds
+// rotate base_q, coefficient-domain ciphertexts, so only they carry the
+// coefficient table.
 struct BsgsKeys {
   struct Rot {
-    std::size_t r = 0;  // slot rotation amount
-    u64 element = 0;    // Galois element 3^r mod 2N
-    std::shared_ptr<const AutomorphTable> coeff;  // coeff domain; folds only
+    std::size_t r = 0;  // slot rotation amount (0 for the row swap)
+    u64 element = 0;    // Galois element: 3^r mod 2N, or 2N - 1 to swap
+    std::shared_ptr<const AutomorphTable> coeff;  // coeff domain; lead, folds
     std::shared_ptr<const AutomorphTable> ntt;    // automorph, eval domain
     std::shared_ptr<const FrozenKsk> ksk;         // frozen gk(element)
   };
-  std::vector<Rot> babies;  // r = 1 .. b-1, in order
+  std::vector<Rot> lead;    // r = h, then the row swap; empty when b = 1
+  std::vector<Rot> babies;  // r = 1 .. h-1; none when b = 1
   std::vector<Rot> giants;  // r = j·b, j = 1 .. D/b - 1, in order
-  std::vector<Rot> folds;   // r = n/2, n/4, .., D, in fold order
+  std::vector<Rot> folds;   // the row swap if b >= 2, then r = n/2, .., D
+
+  // Rotations one product runs (the row swap counts twice).
+  std::size_t rotations() const {
+    return lead.size() + babies.size() + giants.size() + folds.size();
+  }
 };
 
 // Per-level operands of the NTT-resident pack tree, shared by every merge

@@ -27,13 +27,13 @@ std::size_t tile_width(std::size_t ring_n) {
   return std::min<std::size_t>(ring_n, 64);
 }
 
-// Diagonals per storage chunk of one (limb, tile) unit: 256 rows of 64
+// Plaintexts per storage chunk of one (limb, tile) unit: 256 rows of 64
 // slots are 128 KiB whatever the shape, so the slab pool hands a freed
 // matrix's chunks to the next matrix instead of stranding one size class
-// per diagonal count. A power of two >= b, so a giant step's b rows never
-// straddle two chunks.
-std::size_t chunk_diags(std::size_t diags) {
-  return std::min<std::size_t>(diags, 256);
+// per plaintext count. A power of two >= the terms per giant step, so a
+// giant step's rows never straddle two chunks.
+std::size_t chunk_rows(std::size_t plaintexts) {
+  return std::min<std::size_t>(plaintexts, 256);
 }
 
 // Extended diagonals of the hybrid plan: one per padded row of a wide
@@ -65,6 +65,9 @@ std::vector<u64> BsgsHmvp::required_galois_elements(std::size_t n_cols) const {
   for (std::size_t j = 1; j < (n_cols + b - 1) / b; ++j) {
     out.push_back(ctx_->rotation_galois_element(j * b));
   }
+  // Plans with b >= 2 fill slot row 1 through the row swap; their lead
+  // rotation by b/2 is a baby above.
+  if (b >= 2) out.push_back(ctx_->row_swap_galois_element());
   // Key shipping and make_galois_keys iterate these verbatim, so the plan
   // must never carry an element twice (baby/giant collisions are possible
   // for degenerate shapes) and sorted order keeps hello payloads canonical.
@@ -113,45 +116,54 @@ BsgsEncodedMatrix BsgsHmvp::encode_matrix(const RowSource& a,
   out.diags_ = diagonal_count(m, n);
   out.baby_ = std::min(baby_steps(n), out.diags_);
   const std::size_t diags = out.diags_;
+  const std::size_t b = out.baby_;
+  const std::size_t h = out.terms();
+  const std::size_t slot_rows = out.slot_rows();
+  const std::size_t plaintexts = out.plaintexts();
   // Slot s = r + k·D of a diagonal belongs to row r: n/D slots per row of
   // a wide matrix, one slot per row otherwise (D = n, reps = 1).
   const std::size_t reps = n / diags;
   const std::size_t width = tile_width(ctx_->n());
   const std::size_t tiles = ctx_->n() / width;
-  const std::size_t chunk = chunk_diags(diags);
-  const std::size_t chunks = diags / chunk;
-  CHAM_CHECK_MSG(chunk % out.baby_ == 0, "giant block straddles a chunk");
+  const std::size_t chunk = chunk_rows(plaintexts);
+  const std::size_t chunks = plaintexts / chunk;
+  CHAM_CHECK_MSG(chunk % h == 0, "giant block straddles a chunk");
   out.diag_.resize(ctx_->base_qp()->size() * tiles * chunks);
   for (simd::AlignedU64Vec& block : out.diag_) block.resize(chunk * width);
 
-  // diag_{jb+i}[s] = A[r][(s + jb + i) mod n] for s = r + k·D, pre-rotated
-  // right by j·b slots, encoded, centered-lifted into the base_qp NTT
-  // domain and copied into its row of every (limb, tile) unit while
-  // still in cache.
+  // Plaintext p = j·h + i: slot row `row` holds diag_d for d = jb + row·h
+  // + i, where diag_d[s] = A[r][(s + d) mod n] for s = r + k·D,
+  // pre-rotated right by j·b slots. Encoded, centered-lifted into the
+  // base_qp NTT domain and copied into its row of every (limb, tile) unit
+  // while still in cache.
   auto& pool = ThreadPool::global();
   int lanes = static_cast<int>(
       std::min<std::size_t>({static_cast<std::size_t>(threads),
-                             pool.max_lanes(), diags}));
+                             pool.max_lanes(), plaintexts}));
   if (ThreadPool::in_lane()) lanes = 1;
   auto encode_lane = [&](int lane) {
-    std::vector<u64> rotated(half);
+    std::vector<u64> slots(slot_rows * half);
     RnsPoly pt_ntt(ctx_->base_qp(), false);
-    for (std::size_t d = static_cast<std::size_t>(lane); d < diags;
-         d += static_cast<std::size_t>(lanes)) {
-      const std::size_t jb = d - d % out.baby_;  // the giant offset j·b
-      std::fill(rotated.begin(), rotated.end(), 0);
-      for (std::size_t r = 0; r < m; ++r) {
-        for (std::size_t s = r; s < r + reps * diags; s += diags) {
-          rotated[(s + jb) % half] = rows[r][(s + d) % n] % t;
+    for (std::size_t p = static_cast<std::size_t>(lane); p < plaintexts;
+         p += static_cast<std::size_t>(lanes)) {
+      const std::size_t jb = p / h * b;  // the giant offset j·b
+      std::fill(slots.begin(), slots.end(), 0);
+      for (std::size_t row = 0; row < slot_rows; ++row) {
+        const std::size_t d = jb + row * h + p % h;
+        u64* rotated = slots.data() + row * half;
+        for (std::size_t r = 0; r < m; ++r) {
+          for (std::size_t s = r; s < r + reps * diags; s += diags) {
+            rotated[(s + jb) % half] = rows[r][(s + d) % n] % t;
+          }
         }
       }
-      eval_.transform_plain_ntt_into(encoder_.encode(rotated), pt_ntt);
+      eval_.transform_plain_ntt_into(encoder_.encode(slots), pt_ntt);
       CHAM_CHECK_MSG(pt_ntt.is_ntt(), "diagonal must be NTT-form");
       for (std::size_t l = 0; l < pt_ntt.limbs(); ++l) {
         for (std::size_t s = 0; s < tiles; ++s) {
           std::copy_n(pt_ntt.limb(l) + s * width, width,
-                      out.diag_[(l * tiles + s) * chunks + d / chunk].data() +
-                          d % chunk * width);
+                      out.diag_[(l * tiles + s) * chunks + p / chunk].data() +
+                          p % chunk * width);
         }
       }
     }
@@ -182,6 +194,7 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
   CHAM_CHECK_MSG(m > 0 && n > 0, "empty encoded matrix");
   const std::size_t diags = a.diags_;
   const std::size_t b = a.baby_;
+  const std::size_t h = a.terms();
   const std::size_t giants = a.giants();
   const std::size_t k = batch.size();
   if (threads <= 0) threads = 1;
@@ -196,8 +209,8 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
   const std::size_t width = tile_width(ring_n);
   const std::size_t tiles = ring_n / width;
   const std::size_t units = base_qp->size() * tiles;  // (limb, tile)
-  const std::size_t chunk = chunk_diags(diags);
-  const std::size_t chunks = diags / chunk;
+  const std::size_t chunk = chunk_rows(a.plaintexts());
+  const std::size_t chunks = a.plaintexts() / chunk;
   CHAM_CHECK_MSG(a.diag_.size() == units * chunks,
                  "encoded matrix belongs to another ring");
 
@@ -207,8 +220,8 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
   struct Req {
     const Evaluator* eval = nullptr;
     std::shared_ptr<const BsgsKeys> keys;
-    std::vector<RnsPoly> digits;    // hoisted digits of ct_q.a (base_qp)
-    Ciphertext p_ct;                // p·ct_q, NTT form over base_q
+    std::vector<RnsPoly> digits;    // hoisted digits of ct₂.a (base_qp)
+    Ciphertext p_ct;                // p·ct₂, NTT form over base_q
     std::vector<Ciphertext> inner;  // per giant step, NTT over base_qp
   };
   std::vector<Req> reqs(k);
@@ -231,50 +244,62 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
     }
   }
 
-  // Per request: rescale, the shared digit decomposition and p·ct_q in
-  // the NTT domain — everything the fused baby rotations read.
+  auto& pool = ThreadPool::global();
+  const auto lanes_for = [&](std::size_t items) {
+    if (ThreadPool::in_lane()) return 1;
+    return static_cast<int>(std::min<std::size_t>(
+        {static_cast<std::size_t>(threads), pool.max_lanes(), items}));
+  };
+  // item(lane, idx) for every idx < items, dealt round-robin to lanes.
+  const auto run_lanes = [&](std::size_t items, const auto& item) {
+    const int lanes = lanes_for(items);
+    auto lane_fn = [&](int lane) {
+      for (std::size_t idx = static_cast<std::size_t>(lane); idx < items;
+           idx += static_cast<std::size_t>(lanes)) {
+        item(static_cast<std::size_t>(lane), idx);
+      }
+    };
+    if (lanes > 1) {
+      pool.run(lanes, lane_fn);
+    } else {
+      lane_fn(0);
+    }
+  };
+
+  // Per request: rescale; on two slot rows the lead rotations
+  // ct₂ = ct + swap(rot_h(ct)), so that row 1 carries v rotated by h;
+  // then the shared digit decomposition and p·ct₂ in the NTT domain —
+  // everything the fused baby rotations read.
   {
-    CHAM_SPAN_ARG("bsgs.batch_baby_steps", k * b);
+    CHAM_SPAN_ARG("bsgs.batch_baby_steps", k * h);
     const u64 p = base_qp->modulus(q_limbs).value();
     std::vector<u64> p_mod_q(q_limbs);
     for (std::size_t l = 0; l < q_limbs; ++l) {
       p_mod_q[l] = p % base_q->modulus(l).value();
     }
-    for (std::size_t r = 0; r < k; ++r) {
+    run_lanes(k, [&](std::size_t, std::size_t r) {
       Req& rq = reqs[r];
       rq.p_ct = rq.eval->rescale(batch[r].ct_v[0]);
+      if (!rq.keys->lead.empty()) {
+        Ciphertext row1 = rq.p_ct;
+        for (const BsgsKeys::Rot& rot : rq.keys->lead) {
+          rq.eval->decompose_ntt_digits(row1.a, rq.digits, threads);
+          row1 = rq.eval->rotate_hoisted(row1, rq.digits, *rot.coeff,
+                                         *rot.ntt, *rot.ksk);
+        }
+        rq.eval->add_inplace(rq.p_ct, row1);
+      }
       rq.eval->decompose_ntt_digits(rq.p_ct.a, rq.digits, threads);
       rq.p_ct.to_ntt();
       rq.p_ct.b.mul_scalar_inplace(p_mod_q);
       rq.p_ct.a.mul_scalar_inplace(p_mod_q);
-    }
+    });
   }
 
   // The giant stage: MultPoly fused with the baby rotations, then the
   // giant rotations, one mod-down per request and the folds.
   {
     CHAM_SPAN("bsgs.batch_giant_sweep");
-    auto& pool = ThreadPool::global();
-    const auto lanes_for = [&](std::size_t items) {
-      if (ThreadPool::in_lane()) return 1;
-      return static_cast<int>(std::min<std::size_t>(
-          {static_cast<std::size_t>(threads), pool.max_lanes(), items}));
-    };
-    // item(lane, idx) for every idx < items, dealt round-robin to lanes.
-    const auto run_lanes = [&](std::size_t items, const auto& item) {
-      const int lanes = lanes_for(items);
-      auto lane_fn = [&](int lane) {
-        for (std::size_t idx = static_cast<std::size_t>(lane); idx < items;
-             idx += static_cast<std::size_t>(lanes)) {
-          item(static_cast<std::size_t>(lane), idx);
-        }
-      };
-      if (lanes > 1) {
-        pool.run(lanes, lane_fn);
-      } else {
-        lane_fn(0);
-      }
-    };
 
     // MultPoly, split into disjoint (limb, tile) units. Without its
     // mod-down a hoisted rotation is slot-local in the NTT domain over
@@ -282,77 +307,80 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
     //   b side  p·b̂[π_i(s)] + Σ_k d̂_k[π_i(s)]·kb_{i,k}[s]
     //   a side               Σ_k d̂_k[π_i(s)]·ka_{i,k}[s]
     // (π_i the NTT-domain automorph table, d̂_k the request's digits,
-    // kb/ka the frozen key; baby 0 is p·ct_q itself). So each unit builds
-    // its requests' b baby tiles in lane scratch, then for each giant step
-    // fetches the unit's diagonal block once and feeds every request
-    // through one lazy dot product per polynomial. Every value is a
-    // canonical residue, so the result is the same for every lane count
+    // kb/ka the frozen key; baby 0 is p·ct₂ itself). So each unit builds
+    // its requests' h baby tiles in lane scratch, then for each giant step
+    // fetches the unit's block of h plaintexts once and feeds every
+    // request through one lazy dot product per polynomial. Every value is
+    // a canonical residue, so the result is the same for every lane count
     // and batch composition.
     const simd::Kernels& kern = simd::active();
-    const std::size_t req_words = 2 * b * width;  // one request's tiles
+    const std::size_t req_words = 2 * h * width;  // one request's tiles
     std::vector<simd::AlignedU64Vec> tiles_of(
         static_cast<std::size_t>(lanes_for(units)),
         simd::AlignedU64Vec(k * req_words + width));
-    run_lanes(units, [&](std::size_t lane, std::size_t unit) {
-      const std::size_t l = unit / tiles;
-      const std::size_t slot = unit % tiles * width;
-      const u64 q = base_qp->modulus(l).value();
-      const bool p_term = l < q_limbs;  // p·ct_q vanishes mod p
-      simd::AlignedU64Vec& buf = tiles_of[lane];
-      u64* gathered = buf.data() + k * req_words;
-      for (std::size_t r = 0; r < k; ++r) {
-        u64* xb = buf.data() + r * req_words;
-        u64* xa = xb + b * width;
-        if (p_term) {
-          std::copy_n(reqs[r].p_ct.b.limb(l) + slot, width, xb);
-          std::copy_n(reqs[r].p_ct.a.limb(l) + slot, width, xa);
-        } else {
-          std::fill_n(xb, width, 0);
-          std::fill_n(xa, width, 0);
-        }
-      }
-      // Baby-major, so requests of one session reuse the key slice while
-      // it is in L1.
-      for (std::size_t i = 1; i < b; ++i) {
+    {
+      CHAM_SPAN_ARG("bsgs.multpoly", units);
+      run_lanes(units, [&](std::size_t lane, std::size_t unit) {
+        const std::size_t l = unit / tiles;
+        const std::size_t slot = unit % tiles * width;
+        const u64 q = base_qp->modulus(l).value();
+        const bool p_term = l < q_limbs;  // p·ct₂ vanishes mod p
+        simd::AlignedU64Vec& buf = tiles_of[lane];
+        u64* gathered = buf.data() + k * req_words;
         for (std::size_t r = 0; r < k; ++r) {
-          const Req& rq = reqs[r];
-          const BsgsKeys::Rot& rot = rq.keys->babies[i - 1];
-          const u64* idx = rot.ntt->src_idx.data() + slot;
-          const u64* flip = rot.ntt->flip.data() + slot;
-          u64* ob = buf.data() + r * req_words + i * width;
-          u64* oa = ob + b * width;
-          for (std::size_t d = 0; d < dnum; ++d) {
-            kern.permute(rq.digits[d].limb(l), idx, flip, gathered, width,
-                         q);
-            const ShoupPoly& kb = rot.ksk->b[d];
-            const ShoupPoly& ka = rot.ksk->a[d];
-            const auto mul = d == 0 ? kern.mul_shoup : kern.mul_shoup_acc;
-            mul(gathered, kb.operand(l) + slot, kb.quotient(l) + slot, ob,
-                width, q);
-            mul(gathered, ka.operand(l) + slot, ka.quotient(l) + slot, oa,
-                width, q);
-          }
+          u64* xb = buf.data() + r * req_words;
+          u64* xa = xb + h * width;
           if (p_term) {
-            kern.permute(rq.p_ct.b.limb(l), idx, flip, gathered, width, q);
-            kern.add(ob, gathered, ob, width, q);
+            std::copy_n(reqs[r].p_ct.b.limb(l) + slot, width, xb);
+            std::copy_n(reqs[r].p_ct.a.limb(l) + slot, width, xa);
+          } else {
+            std::fill_n(xb, width, 0);
+            std::fill_n(xa, width, 0);
           }
         }
-      }
-      const u64 q_barrett = base_qp->crt().q_barrett(l);
-      const ShoupMul& r64 = base_qp->crt().r64(l);
-      for (std::size_t j = 0; j < giants; ++j) {
-        const u64* w = a.diag_[unit * chunks + j * b / chunk].data() +
-                       j * b % chunk * width;
-        for (std::size_t r = 0; r < k; ++r) {
-          const u64* xb = buf.data() + r * req_words;
-          Ciphertext& acc = reqs[r].inner[j];
-          kern.dot(xb, w, acc.b.limb(l) + slot, b, width, width, q,
-                   q_barrett, r64.operand, r64.quotient);
-          kern.dot(xb + b * width, w, acc.a.limb(l) + slot, b, width, width,
-                   q, q_barrett, r64.operand, r64.quotient);
+        // Baby-major, so requests of one session reuse the key slice while
+        // it is in L1.
+        for (std::size_t i = 1; i < h; ++i) {
+          for (std::size_t r = 0; r < k; ++r) {
+            const Req& rq = reqs[r];
+            const BsgsKeys::Rot& rot = rq.keys->babies[i - 1];
+            const u64* idx = rot.ntt->src_idx.data() + slot;
+            const u64* flip = rot.ntt->flip.data() + slot;
+            u64* ob = buf.data() + r * req_words + i * width;
+            u64* oa = ob + h * width;
+            for (std::size_t d = 0; d < dnum; ++d) {
+              kern.permute(rq.digits[d].limb(l), idx, flip, gathered, width,
+                           q);
+              const ShoupPoly& kb = rot.ksk->b[d];
+              const ShoupPoly& ka = rot.ksk->a[d];
+              const auto mul = d == 0 ? kern.mul_shoup : kern.mul_shoup_acc;
+              mul(gathered, kb.operand(l) + slot, kb.quotient(l) + slot, ob,
+                  width, q);
+              mul(gathered, ka.operand(l) + slot, ka.quotient(l) + slot, oa,
+                  width, q);
+            }
+            if (p_term) {
+              kern.permute(rq.p_ct.b.limb(l), idx, flip, gathered, width, q);
+              kern.add(ob, gathered, ob, width, q);
+            }
+          }
         }
-      }
-    });
+        const u64 q_barrett = base_qp->crt().q_barrett(l);
+        const ShoupMul& r64 = base_qp->crt().r64(l);
+        for (std::size_t j = 0; j < giants; ++j) {
+          const u64* w = a.diag_[unit * chunks + j * h / chunk].data() +
+                         j * h % chunk * width;
+          for (std::size_t r = 0; r < k; ++r) {
+            const u64* xb = buf.data() + r * req_words;
+            Ciphertext& acc = reqs[r].inner[j];
+            kern.dot(xb, w, acc.b.limb(l) + slot, h, width, width, q,
+                     q_barrett, r64.operand, r64.quotient);
+            kern.dot(xb + h * width, w, acc.a.limb(l) + slot, h, width,
+                     width, q, q_barrett, r64.operand, r64.quotient);
+          }
+        }
+      });
+    }
 
     // Giant rotations flattened over (request, giant j >= 1). Only the
     // a-side is rounded down by p (3 INTTs and one divide-and-round), so
@@ -372,23 +400,29 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
       s.digits.assign(dnum, RnsPoly(base_qp, false));
       s.perm = RnsPoly(base_qp, true);
     }
-    run_lanes(k * (giants - 1), [&](std::size_t lane, std::size_t idx) {
-      Req& rq = reqs[idx / (giants - 1)];
-      const std::size_t j = 1 + idx % (giants - 1);
-      const BsgsKeys::Rot& rot = rq.keys->giants[j - 1];
-      Ciphertext& acc = rq.inner[j];
-      Scratch& s = scratch[lane];
-      acc.a.from_ntt();
-      divide_round_by_last_into(acc.a, s.a_q);
-      rq.eval->decompose_ntt_digits(s.a_q, s.digits);
-      acc.b.automorph_into(*rot.ntt, s.perm);
-      rq.eval->keyswitch_hoisted_qp(s.digits, *rot.ntt, *rot.ksk, acc);
-      acc.b.add_inplace(s.perm);
-    });
+    {
+      CHAM_SPAN_ARG("bsgs.giant_steps", k * (giants - 1));
+      run_lanes(k * (giants - 1), [&](std::size_t lane, std::size_t idx) {
+        Req& rq = reqs[idx / (giants - 1)];
+        const std::size_t j = 1 + idx % (giants - 1);
+        const BsgsKeys::Rot& rot = rq.keys->giants[j - 1];
+        Ciphertext& acc = rq.inner[j];
+        Scratch& s = scratch[lane];
+        acc.a.from_ntt();
+        divide_round_by_last_into(acc.a, s.a_q);
+        rq.eval->decompose_ntt_digits(s.a_q, s.digits);
+        acc.b.automorph_into(*rot.ntt, s.perm);
+        rq.eval->keyswitch_hoisted_qp(s.digits, *rot.ntt, *rot.ksk, acc);
+        acc.b.add_inplace(s.perm);
+      });
+    }
 
     // Per request: sum the giant steps over base_qp, round down by p
-    // once, then fold the n/D partial sums of each row into its slot, one
-    // hoisted rotate-and-add per halving (rotations by n/2, n/4, .., D).
+    // once, then fold. On two slot rows the first fold adds the row swap,
+    // so row 0 sums every diagonal; then the n/D partial sums of each row
+    // fold into its slot, one hoisted rotate-and-add per halving
+    // (rotations by n/2, n/4, .., D).
+    CHAM_SPAN_ARG("bsgs.folds", k);
     run_lanes(k, [&](std::size_t lane, std::size_t r) {
       Req& rq = reqs[r];
       Ciphertext& sum = rq.inner[0];
@@ -411,9 +445,9 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
 
   // One publish per logical product, so "bsgs.runs" counts requests.
   BaselineStats per;
-  per.rotations = (b - 1) + (giants - 1) + log2_exact(n / diags);
-  per.rotations_hoisted = b - 1;
-  per.plain_mults = diags;
+  per.rotations = reqs[0].keys->rotations();
+  per.rotations_hoisted = h - 1;
+  per.plain_mults = a.plaintexts();
   for (std::size_t r = 0; r < k; ++r) publish_baseline_stats("bsgs", per);
   if (stats) {
     for (std::size_t r = 0; r < k; ++r) stats->merge(per);

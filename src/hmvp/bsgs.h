@@ -11,30 +11,45 @@
 // first m. Square and tall shapes have D = n and no fold: one diagonal
 // per column, diag_d[s] = A[s][(s+d) mod n] for s < m.
 //
+// Two slot rows. BFV batching lays the N slots out as 2 × N/2, and a
+// rotation turns both rows at once. The client sends v in row 0 only
+// (encode_vector); with b >= 2 baby steps the server first forms
+// ct₂ = ct + swap(rot_h(ct)), h = b/2, so row 1 carries v rotated left
+// by h. Baby rotation i < h of ct₂ then carries baby steps i (row 0) and
+// i + h (row 1), and each plaintext holds two diagonals, one per row
+// (BsgsEncodedMatrix). A product runs h - 1 hoisted babies and D/2
+// plaintext products instead of b - 1 and D, for three more rotations:
+// rot_h, the row swap, and a swap-fold res += swap(res) after the
+// mod-down that adds row 1's half of the diagonals into row 0. A·v still
+// lands in the first m slots of row 0, so the client's layout and
+// decrypt_result do not change. A plan with b = 1 has no baby step to
+// share and keeps row 1 empty.
+//
 // The rotation cost is restructured around double hoisting (Halevi–Shoup
 // digit sharing, plus Bossuat et al.'s one mod-down per sum):
-//  * ct(v) is decomposed into evaluation-form key-switch digits ONCE;
+//  * ct₂ is decomposed into evaluation-form key-switch digits ONCE;
 //    every baby-step rotation is then a slot gather on the shared digit
 //    vector plus one inner product against a Shoup-frozen Galois KSK
 //    (EvkManager::bsgs_keys). The baby-step count b = min(baby_steps(n),
-//    D) comes from the column count, so every baby, giant and fold
+//    D) comes from the column count, so every lead, baby, giant and fold
 //    rotation is an element of required_galois_elements(n): clients
 //    upload one key set per column count, whatever the row count.
-//  * No rotation is rounded down by the special prime p on its own. Left
-//    over base_qp in the NTT domain, a baby rotation is slot-local, so the
-//    rotations are fused into MultPoly and no baby polynomial is stored:
-//    MultPoly runs in tiles of min(N, 64) slots per limb, each (limb,
-//    tile) unit builds its requests' b baby tiles in lane scratch, and
-//    simd::Kernels::dot sums each slot's b products against the unit's
-//    diagonal block without reduction and reduces once. A diagonal tile
-//    is fetched once per giant step for the whole batch.
+//  * No baby or giant rotation is rounded down by the special prime p on
+//    its own. Left over base_qp in the NTT domain, a baby rotation is
+//    slot-local, so the rotations are fused into MultPoly and no baby
+//    polynomial is stored: MultPoly runs in tiles of min(N, 64) slots per
+//    limb, each (limb, tile) unit builds its requests' h baby tiles in
+//    lane scratch, and simd::Kernels::dot sums each slot's h products
+//    against the unit's plaintext block without reduction and reduces
+//    once. A plaintext tile is fetched once per giant step for the whole
+//    batch.
 //  * A giant step rounds down only its a-side, to decompose it, and
 //    key-switches with no mod-down; its b-side stays over base_qp and is
 //    permuted in the NTT domain. Each request sums its giant outputs over
 //    base_qp and rounds down by p once, then folds (decompose, then
-//    rotate_hoisted). Every sum before a rounding is exact mod q and the
-//    (limb, tile) units are disjoint, so results are bit-exact for every
-//    lane count, batch composition and SIMD level.
+//    rotate_hoisted), the swap-fold first. Every sum before a rounding is
+//    exact mod q and the (limb, tile) units are disjoint, so results are
+//    bit-exact for every lane count, batch composition and SIMD level.
 //
 // DESIGN.md §6h maps the shared decomposition onto CHAM's on-chip digit
 // reuse and the tiles onto its banked operand RAMs, and documents the
@@ -47,10 +62,13 @@ namespace cham {
 
 // Rotation and plaintext-product counts of SIMD-method runs (BsgsHmvp,
 // and the bench-side strawman baselines that share its slot layout).
+// A BsgsHmvp product with b >= 2 baby steps (h = b/2) counts
+// (h-1) + (D/b-1) + log2(n/D) + 3 rotations, h-1 of them hoisted, and D/2
+// plain products; with b = 1, (D-1) + log2(n/D) rotations and D products.
 struct BaselineStats {
   std::uint64_t rotations = 0;   // ciphertext rotations (keyswitches)
   std::uint64_t rotations_hoisted = 0;  // rotations off a shared decomposition
-  std::uint64_t plain_mults = 0;
+  std::uint64_t plain_mults = 0;        // plaintext products
 
   void merge(const BaselineStats& o) {
     rotations += o.rotations;
@@ -64,20 +82,24 @@ struct BaselineStats {
 // CHAM-METRICS side of every SIMD-method bench line.
 void publish_baseline_stats(const char* prefix, const BaselineStats& st);
 
-// A matrix pre-encoded into the NTT-domain diagonal plaintexts the BSGS
-// giant-step sweep consumes: the D extended diagonals of the plan (see
-// the file comment), diagonal d = j·b+i pre-rotated right by j·b slots
-// (the single giant rotation of the inner sum re-aligns every term),
-// centered-lifted to base_qp (the baby rotations they multiply stay
-// over base_qp) and NTT'd. Amortises the D diagonal encode+transform
-// passes across repeated products with the same matrix (the serving
-// layer freezes one per matrix version, see MvpOperand).
-// Layout: tile-major [limb][tile][d][width] with width = min(N, 64), so
-// the b diagonals one giant step needs for one tile are one contiguous
-// b·width-word block (32 KiB at b = 64). Each (limb, tile) unit's rows
-// are stored in chunks of up to 256 diagonals (128 KiB). Each diagonal
-// is written straight into its tiles as it is encoded.
-// Memory: |base_qp|·N·D words (192 MiB at N = 8192 and 1024×4096).
+// A matrix pre-encoded into the NTT-domain plaintexts the BSGS giant-step
+// sweep consumes: the D extended diagonals of the plan (see the file
+// comment), two to a plaintext when b >= 2. Plaintext j·h + i (h = b/2,
+// i < h) holds diagonal j·b + i in slot row 0 and diagonal j·b + h + i in
+// row 1, both pre-rotated right by j·b slots (the single giant rotation
+// of the inner sum re-aligns every term); a plan with b = 1 holds
+// diagonal d alone, in row 0 of plaintext d. Each plaintext is
+// centered-lifted to base_qp (the baby rotations it multiplies stay over
+// base_qp) and NTT'd. Amortises the encode+transform passes across
+// repeated products with the same matrix (the serving layer freezes one
+// per matrix version, see MvpOperand).
+// Layout: tile-major [limb][tile][plaintext][width] with width =
+// min(N, 64), so the h plaintexts one giant step needs for one tile are
+// one contiguous h·width-word block (16 KiB at b = 64). Each (limb, tile)
+// unit's rows are stored in chunks of up to 256 plaintexts (128 KiB).
+// Each plaintext is written straight into its tiles as it is encoded.
+// Memory: |base_qp|·N·D/2 words when b >= 2 (96 MiB at N = 8192 and
+// 1024×4096), |base_qp|·N·D when b = 1.
 class BsgsEncodedMatrix {
  public:
   std::size_t rows() const { return rows_; }
@@ -85,12 +107,17 @@ class BsgsEncodedMatrix {
   std::size_t diagonals() const { return diags_; }
   std::size_t baby() const { return baby_; }
   std::size_t giants() const { return diags_ / baby_; }
+  // Slot rows each plaintext fills: 2 when b >= 2, else 1.
+  std::size_t slot_rows() const { return baby_ >= 2 ? 2 : 1; }
+  // Plaintexts per giant step (h = b/2 on two rows), and in all.
+  std::size_t terms() const { return baby_ / slot_rows(); }
+  std::size_t plaintexts() const { return diags_ / slot_rows(); }
 
  private:
   friend class BsgsHmvp;
   std::size_t rows_ = 0, cols_ = 0, diags_ = 0, baby_ = 0;
   // NTT residues over base_qp:
-  // [(limb·tiles + tile)·chunks + d / chunk] -> [d % chunk][width].
+  // [(limb·tiles + tile)·chunks + p / chunk] -> [p % chunk][width].
   std::vector<simd::AlignedU64Vec> diag_;
 };
 
@@ -104,7 +131,8 @@ class BsgsHmvp {
   static std::size_t baby_steps(std::size_t n_cols);
 
   // Sorted, deduplicated Galois elements for every n_cols-column shape:
-  // the baby, giant and fold rotations of any row count's plan.
+  // the lead, baby, giant and fold rotations of any row count's plan,
+  // the row swap 2N - 1 among them whenever baby_steps(n_cols) >= 2.
   std::vector<u64> required_galois_elements(std::size_t n_cols) const;
 
   // The slot layout of ct(v): v tiled with period |v| across the N/2

@@ -1,11 +1,12 @@
 // Minimal flat-JSON object writer: the one stable serialisation used by
 // the CHAM-BENCH bench lines and the MetricsRegistry snapshot, so CI
 // tooling (tools/check_bench.py) parses a single format. Fields render in
-// insertion order; doubles use the shortest round-trippable stream form.
+// insertion order; doubles use the shortest form that parses back to the
+// same bits (std::to_chars).
 #pragma once
 
+#include <charconv>
 #include <cstdint>
-#include <sstream>
 #include <string>
 
 namespace cham {
@@ -21,9 +22,9 @@ class JsonWriter {
     return field(key, std::string(value));
   }
   JsonWriter& field(const std::string& key, double value) {
-    std::ostringstream os;
-    os << value;
-    raw(key, os.str());
+    char buf[32];  // the longest shortest form is 24 characters
+    const auto res = std::to_chars(buf, buf + sizeof(buf), value);
+    raw(key, std::string(buf, res.ptr));
     return *this;
   }
   JsonWriter& field(const std::string& key, std::uint64_t value) {

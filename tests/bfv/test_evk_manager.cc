@@ -192,30 +192,50 @@ TEST(EvkManager, PackKeysRequireTheTreeElements) {
   EXPECT_THROW(mgr->pack_keys(gk, 2), CheckError);
 }
 
-TEST(EvkManager, BsgsKeysBuildCoefficientTablesForFoldsOnly) {
+TEST(EvkManager, BsgsKeysBuildCoefficientTablesForLeadAndFoldsOnly) {
   EvkFixture f;
   auto mgr = EvkManager::shared(f.ctx);
-  std::vector<u64> rotations;
-  for (std::size_t r : {1, 2, 3, 4, 8}) {
+  const u64 swap = f.ctx->row_swap_galois_element();
+  std::vector<u64> rotations = {swap};
+  for (std::size_t r : {1, 2, 4, 8}) {
     rotations.push_back(f.ctx->rotation_galois_element(r));
   }
   auto gk = f.keygen.make_galois_keys(1, rotations);
-  // 16 columns, 8 extended diagonals, 4 baby steps: babies r = 1..3, one
-  // giant r = 4 and one fold r = 8.
+  // 16 columns, 8 extended diagonals, 4 baby steps on two slot rows
+  // (h = 2): lead rotations r = 2 and the row swap, one baby r = 1, one
+  // giant r = 4, then the swap-fold and one fold r = 8.
   auto keys = mgr->bsgs_keys(gk, 16, 8, 4);
-  ASSERT_EQ(keys->babies.size(), 3u);
+  ASSERT_EQ(keys->lead.size(), 2u);
+  ASSERT_EQ(keys->babies.size(), 1u);
   ASSERT_EQ(keys->giants.size(), 1u);
-  ASSERT_EQ(keys->folds.size(), 1u);
+  ASSERT_EQ(keys->folds.size(), 2u);
+  EXPECT_EQ(keys->rotations(), 6u);
+  EXPECT_EQ(keys->lead[0].r, 2u);
+  EXPECT_EQ(keys->lead[1].element, swap);
+  EXPECT_EQ(keys->folds[0].element, swap);
   for (const auto* steps : {&keys->babies, &keys->giants}) {
     for (const BsgsKeys::Rot& rot : *steps) {
       EXPECT_EQ(rot.coeff, nullptr) << "r = " << rot.r;
       EXPECT_EQ(rot.ntt.get(), mgr->automorph_table_ntt(rot.element).get());
     }
   }
-  const BsgsKeys::Rot& fold = keys->folds[0];
-  EXPECT_EQ(fold.r, 8u);
-  EXPECT_EQ(fold.coeff.get(), mgr->automorph_table(fold.element).get());
-  EXPECT_EQ(fold.ntt.get(), mgr->automorph_table_ntt(fold.element).get());
+  for (const auto* steps : {&keys->lead, &keys->folds}) {
+    for (const BsgsKeys::Rot& rot : *steps) {
+      EXPECT_EQ(rot.coeff.get(), mgr->automorph_table(rot.element).get())
+          << "element " << rot.element;
+      EXPECT_EQ(rot.ntt.get(), mgr->automorph_table_ntt(rot.element).get());
+    }
+  }
+  EXPECT_EQ(keys->folds[1].r, 8u);
+  // The row swap is one frozen key, shared by the lead and the fold.
+  EXPECT_EQ(keys->lead[1].ksk.get(), keys->folds[0].ksk.get());
+
+  // A plan with one baby step has nothing to share: row 1 stays empty.
+  auto one_row = mgr->bsgs_keys(gk, 16, 1, 1);
+  EXPECT_TRUE(one_row->lead.empty());
+  EXPECT_TRUE(one_row->babies.empty());
+  ASSERT_EQ(one_row->folds.size(), 4u);
+  EXPECT_EQ(one_row->folds[0].r, 8u);
 }
 
 TEST(EvkManager, EvaluatorsOnOneContextShareTheManager) {

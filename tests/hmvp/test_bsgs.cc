@@ -11,9 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "hmvp/hmvp.h"
 #include "hmvp/mvp.h"
 #include "nt/bitops.h"
+#include "obs/metrics.h"
 #include "reference/reference.h"
 
 namespace cham {
@@ -59,11 +62,24 @@ void expect_ct_eq(const Ciphertext& x, const Ciphertext& y) {
 
 // The hybrid plan of an m×n matrix, from its definition: D extended
 // diagonals (m padded to a power of two, at most n), b baby steps taken
-// from the column count, D/b giant steps and log2(n/D) folds.
+// from the column count, D/b giant steps and log2(n/D) folds. With
+// b >= 2 the plan fills both slot rows: h = b/2 baby terms per giant
+// step, h - 1 of them hoisted rotations, D/2 plaintext products, and
+// three more rotations (rot_h, the row swap, the swap-fold).
 struct Plan {
   std::size_t diags, baby, giants, folds;
 
-  std::size_t rotations() const { return (baby - 1) + (giants - 1) + folds; }
+  bool two_rows() const { return baby >= 2; }
+  std::size_t terms() const { return two_rows() ? baby / 2 : baby; }
+  std::size_t hoisted() const { return terms() - 1; }
+  std::size_t plain_mults() const {
+    return two_rows() ? diags / 2 : diags;
+  }
+  std::size_t rotations() const {
+    return hoisted() + (giants - 1) + folds + (two_rows() ? 3 : 0);
+  }
+  // Distinct keys: the row swap serves the lead and the swap-fold.
+  std::size_t keys() const { return rotations() - (two_rows() ? 1 : 0); }
 };
 
 Plan plan_for(std::size_t m, std::size_t n) {
@@ -184,12 +200,19 @@ TEST(Bsgs, RotateRowsZeroIsIdentityWithoutKeys) {
                eval.rotate_rows_hoisted(ct_q, digits, 0, empty));
 }
 
-class BsgsShapeTest
-    : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
+struct Shape {
+  std::size_t m, n, ring = 128;
+};
+
+std::ostream& operator<<(std::ostream& os, const Shape& s) {
+  return os << s.m << "x" << s.n << " at N=" << s.ring;
+}
+
+class BsgsShapeTest : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(BsgsShapeTest, MatchesReferenceAndStats) {
-  const auto [m, n] = GetParam();
-  BsgsFixture f(128, m * 257 + n);
+  const auto [m, n, ring] = GetParam();
+  BsgsFixture f(ring, m * 257 + n);
   BsgsHmvp probe(f.ctx, nullptr);
   auto gk = f.keys_for(probe.required_galois_elements(n));
   BsgsHmvp engine(f.ctx, &gk);
@@ -202,25 +225,30 @@ TEST_P(BsgsShapeTest, MatchesReferenceAndStats) {
             HmvpEngine::reference(a, v, f.ctx->params().t));
   const Plan plan = plan_for(m, n);
   EXPECT_EQ(stats.rotations, plan.rotations());
-  EXPECT_EQ(stats.rotations_hoisted, plan.baby - 1);
-  EXPECT_EQ(stats.plain_mults, plan.diags);
+  EXPECT_EQ(stats.rotations_hoisted, plan.hoisted());
+  EXPECT_EQ(stats.plain_mults, plan.plain_mults());
 }
 
 // Square, tall and wide shapes; the wide ones include row counts that
-// are not a power of two, down to one row (1×64 folds six times).
+// are not a power of two, down to one row (1×64 folds six times). From
+// 2×8 on, plans at b = 1, 2, 4 and 16 with rows at 1, 2, D/2 ± 1 and
+// N/2: on two slot rows h = b/2 ranges over 1 (no hoisted baby, only the
+// lead rotations), 2 and 8.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, BsgsShapeTest,
-    ::testing::Values(std::make_pair<std::size_t, std::size_t>(4, 4),
-                      std::make_pair<std::size_t, std::size_t>(16, 16),
-                      std::make_pair<std::size_t, std::size_t>(8, 64),
-                      std::make_pair<std::size_t, std::size_t>(64, 64),
-                      std::make_pair<std::size_t, std::size_t>(10, 16),
-                      std::make_pair<std::size_t, std::size_t>(64, 8),
-                      std::make_pair<std::size_t, std::size_t>(1, 2),
-                      std::make_pair<std::size_t, std::size_t>(1, 64),
-                      std::make_pair<std::size_t, std::size_t>(3, 64),
-                      std::make_pair<std::size_t, std::size_t>(5, 16),
-                      std::make_pair<std::size_t, std::size_t>(33, 64)));
+    ::testing::Values(Shape{4, 4}, Shape{16, 16}, Shape{8, 64},
+                      Shape{64, 64}, Shape{10, 16}, Shape{64, 8},
+                      Shape{1, 2}, Shape{1, 64}, Shape{3, 64}, Shape{5, 16},
+                      Shape{33, 64},
+                      // b = 2 (n = 8, D = 8; and D = 2 at n = 64)
+                      Shape{2, 8}, Shape{3, 8}, Shape{5, 8}, Shape{2, 64},
+                      // b = 4 (n = 16, D = 16)
+                      Shape{1, 16}, Shape{2, 16}, Shape{7, 16},
+                      Shape{9, 16}, Shape{64, 16},
+                      // b = 16 (n = 256 at N = 1024, D = 256)
+                      Shape{1, 256, 1024}, Shape{2, 256, 1024},
+                      Shape{127, 256, 1024}, Shape{129, 256, 1024},
+                      Shape{512, 256, 1024}));
 
 TEST(Bsgs, ThreadCountInvariance) {
   BsgsFixture f(128);
@@ -330,6 +358,62 @@ TEST(Bsgs, RequiredElementsSortedAndUnique) {
   EXPECT_TRUE(std::adjacent_find(rs.begin(), rs.end()) == rs.end());
 }
 
+// Every plan a row count can pick for an n-column matrix freezes only
+// keys from required_galois_elements(n), the set a client uploads at
+// hello, and exactly one key per distinct rotation of the plan. A plan
+// that strayed outside the set would otherwise show up only as an
+// ingest-time kBadRequest. Row counts 1, 2, 3 and 2^k ± 1 up to N/2 reach
+// every D = 1, 2, .., n.
+TEST(Bsgs, HelloKeySetCoversEveryPlan) {
+  const auto freezes = [] {
+    return obs::MetricsRegistry::global().counter("evk.freezes").value();
+  };
+  for (std::size_t ring : {256, 8192}) {
+    SCOPED_TRACE(ring);
+    BsgsFixture f(ring, 70 + ring);
+    const std::size_t half = ring / 2;
+    std::vector<std::size_t> row_counts = {1, 2, 3};
+    for (std::size_t p = 4; p <= half; p *= 2) {
+      row_counts.push_back(p - 1);
+      if (p + 1 <= half) row_counts.push_back(p + 1);
+    }
+    BsgsHmvp probe(f.ctx, nullptr);
+    for (std::size_t n = 1; n <= half; n *= 2) {
+      SCOPED_TRACE(n);
+      const std::vector<u64> hello = probe.required_galois_elements(n);
+      const GaloisKeys gk = f.keys_for(hello);
+      std::set<std::size_t> seen;  // D picks the plan
+      for (std::size_t m : row_counts) {
+        const Plan plan = plan_for(m, n);
+        if (!seen.insert(plan.diags).second) continue;
+        SCOPED_TRACE(m);
+        // A fresh session starts cold, so it freezes this plan's keys.
+        Evaluator eval(f.ctx, "hello-cover-" + std::to_string(ring) + "-" +
+                                  std::to_string(n) + "-" +
+                                  std::to_string(m));
+        const u64 before = freezes();
+        const auto keys =
+            eval.evk().bsgs_keys(gk, n, plan.diags, plan.baby);
+        std::set<u64> used;
+        for (const auto* steps :
+             {&keys->lead, &keys->babies, &keys->giants, &keys->folds}) {
+          for (const BsgsKeys::Rot& rot : *steps) {
+            EXPECT_TRUE(
+                std::binary_search(hello.begin(), hello.end(), rot.element))
+                << "element " << rot.element << " (r = " << rot.r
+                << ") is not in the hello key set";
+            used.insert(rot.element);
+          }
+        }
+        EXPECT_EQ(keys->rotations(), plan.rotations());
+        EXPECT_EQ(used.size(), plan.keys());
+        EXPECT_EQ(freezes() - before, plan.keys());
+      }
+      EXPECT_EQ(seen.size(), static_cast<std::size_t>(log2_exact(n)) + 1);
+    }
+  }
+}
+
 TEST(Bsgs, RejectsNonPowerOfTwoCols) {
   BsgsFixture f(128, 21);
   BsgsHmvp probe(f.ctx, nullptr);
@@ -410,43 +494,60 @@ TEST(Bsgs, BatchedMatchesSingleShotPerSession) {
     vs.push_back(f.random_vector(n));
     cts.push_back(probe.encrypt_vector(vs.back(), f.encryptor));
   }
-  std::vector<MvpRequest> batch(k);
+  std::vector<Ciphertext> want;
   for (std::size_t s = 0; s < k; ++s) {
-    batch[s] = MvpRequest{{&cts[s], 1}, evals[s].get(), &gks[s]};
-  }
-  BaselineStats stats;
-  auto results = encode_engine.multiply_encoded_batch(enc, batch, &stats, 4);
-  ASSERT_EQ(results.size(), k);
-  const Plan plan = plan_for(m, n);
-  EXPECT_EQ(stats.rotations, k * plan.rotations());
-  EXPECT_EQ(stats.rotations_hoisted, k * (plan.baby - 1));
-  EXPECT_EQ(stats.plain_mults, k * plan.diags);
-  for (std::size_t s = 0; s < k; ++s) {
-    SCOPED_TRACE(s);
     BsgsHmvp single(f.ctx, &gks[s]);
-    Ciphertext want = single.multiply(a, cts[s]);
-    expect_ct_eq(want, results[s]);
-    EXPECT_EQ(single.decrypt_result(results[s], m, f.decryptor),
+    want.push_back(single.multiply(a, cts[s]));
+    EXPECT_EQ(single.decrypt_result(want[s], m, f.decryptor),
               HmvpEngine::reference(a, vs[s], f.ctx->params().t));
+  }
+  // One request per session, then a mixed composition that repeats
+  // sessions out of order, at 1 and 4 lanes.
+  const Plan plan = plan_for(m, n);
+  for (const std::vector<std::size_t>& sessions :
+       {std::vector<std::size_t>{0, 1, 2, 3},
+        std::vector<std::size_t>{2, 0, 2, 3, 1, 0}}) {
+    std::vector<MvpRequest> batch;
+    for (std::size_t s : sessions) {
+      batch.push_back(MvpRequest{{&cts[s], 1}, evals[s].get(), &gks[s]});
+    }
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(threads);
+      BaselineStats stats;
+      auto results =
+          encode_engine.multiply_encoded_batch(enc, batch, &stats, threads);
+      ASSERT_EQ(results.size(), sessions.size());
+      EXPECT_EQ(stats.rotations, sessions.size() * plan.rotations());
+      EXPECT_EQ(stats.rotations_hoisted, sessions.size() * plan.hoisted());
+      EXPECT_EQ(stats.plain_mults, sessions.size() * plan.plain_mults());
+      for (std::size_t r = 0; r < sessions.size(); ++r) {
+        SCOPED_TRACE(r);
+        expect_ct_eq(want[sessions[r]], results[r]);
+      }
+    }
   }
 }
 
 // Oracle: the double-hoisted sweep from whole-polynomial primitives, over
-// the hybrid plan's D extended diagonals. Each baby rotation is a whole
-// base_qp polynomial with no mod-down (permuted digits against the frozen
-// key, plus p·φ(b)), frozen to Shoup form; every diagonal is one fully
-// reduced multiply_plain_ntt / multiply_plain_ntt_acc over base_qp into
-// the giant step's inner sum, re-encoded here with encode_matrix's
-// convention. A giant step rounds down only its a-side to decompose it;
-// the sum stays over base_qp and is rescaled once. The folds go through
-// rotate_rows, which looks up its own keys.
+// the hybrid plan's D extended diagonals. On two slot rows (b >= 2) ct(v)
+// first becomes ct + swap(rot_h(ct)) through rotate_rows and a hoisted
+// row swap. Each baby rotation is a whole base_qp polynomial with no
+// mod-down (permuted digits against the frozen key, plus p·φ(b)), frozen
+// to Shoup form; every plaintext (diagonals j·b + i and j·b + h + i in
+// rows 0 and 1) is one fully reduced multiply_plain_ntt /
+// multiply_plain_ntt_acc over base_qp into the giant step's inner sum,
+// re-encoded here from the diagonals' definition. A giant step rounds
+// down only its a-side to decompose it; the sum stays over base_qp and
+// is rescaled once. The swap-fold adds the row swap back, and the folds
+// go through rotate_rows, which looks up its own keys.
 Ciphertext shoup_sweep_oracle(const BfvContextPtr& ctx, const Evaluator& eval,
                               const GaloisKeys& gk, const DenseMatrix& a,
                               const Ciphertext& ct_v) {
   const std::size_t n = a.cols();
   const std::size_t half = ctx->n() / 2;
   const Plan plan = plan_for(a.rows(), n);
-  const std::size_t d_count = plan.diags, b = plan.baby;
+  const std::size_t d_count = plan.diags, b = plan.baby, h = plan.terms();
+  const std::size_t slot_rows = plan.two_rows() ? 2 : 1;
   const u64 t = ctx->params().t;
   const RnsBasePtr& qp = ctx->base_qp();
   BatchEncoder encoder(ctx);
@@ -455,6 +556,10 @@ Ciphertext shoup_sweep_oracle(const BfvContextPtr& ctx, const Evaluator& eval,
     std::vector<RnsPoly> digits(ctx->dnum(), RnsPoly(qp, false));
     eval.decompose_ntt_digits(c, digits);
     return digits;
+  };
+  const auto swap_rows = [&](const Ciphertext& x) {
+    return eval.apply_galois_hoisted(x, decompose(x.a),
+                                     ctx->row_swap_galois_element(), gk);
   };
   // (Σ_k φ(d_k) ∘ ksk_k, with φ(b) added on the b side) over base_qp.
   const auto rotate_qp = [&](const std::vector<RnsPoly>& digits,
@@ -473,7 +578,10 @@ Ciphertext shoup_sweep_oracle(const BfvContextPtr& ctx, const Evaluator& eval,
     return out;
   };
 
-  const Ciphertext ct_q = eval.rescale(ct_v);
+  Ciphertext ct_q = eval.rescale(ct_v);
+  if (plan.two_rows()) {
+    eval.add_inplace(ct_q, swap_rows(eval.rotate_rows(ct_q, h, gk)));
+  }
   const std::vector<RnsPoly> digits = decompose(ct_q.a);
   // p·ct_q over base_qp: zero on the special prime.
   const auto times_p = [&](const RnsPoly& x) {
@@ -488,8 +596,8 @@ Ciphertext shoup_sweep_oracle(const BfvContextPtr& ctx, const Evaluator& eval,
   Ciphertext p_ct;
   p_ct.b = times_p(ct_q.b);
   p_ct.a = times_p(ct_q.a);
-  std::vector<ShoupCiphertext> baby(b);
-  for (std::size_t i = 0; i < b; ++i) {
+  std::vector<ShoupCiphertext> baby(h);
+  for (std::size_t i = 0; i < h; ++i) {
     baby[i] = ShoupCiphertext(
         i == 0 ? p_ct : rotate_qp(digits, p_ct.b, keys->babies[i - 1]));
   }
@@ -501,15 +609,18 @@ Ciphertext shoup_sweep_oracle(const BfvContextPtr& ctx, const Evaluator& eval,
     Ciphertext acc;
     acc.b = RnsPoly(qp, true);
     acc.a = RnsPoly(qp, true);
-    for (std::size_t i = 0; i < b; ++i) {
-      const std::size_t d = j * b + i;
-      // Slot s of diagonal d holds A[s mod D][(s + d) mod n] for every
-      // s < n whose row s mod D exists (every s < m when tall).
-      std::vector<u64> rotated(half, 0);
-      for (std::size_t s = 0; s < std::max(n, a.rows()); ++s) {
-        const std::size_t r = d_count < n ? s % d_count : s;
-        if (r < a.rows()) {
-          rotated[(s + j * b) % half] = rows[r][(s + d) % n] % t;
+    for (std::size_t i = 0; i < h; ++i) {
+      std::vector<u64> rotated(slot_rows * half, 0);
+      for (std::size_t row = 0; row < slot_rows; ++row) {
+        const std::size_t d = j * b + row * h + i;
+        // Slot s of diagonal d holds A[s mod D][(s + d) mod n] for every
+        // s < n whose row s mod D exists (every s < m when tall).
+        for (std::size_t s = 0; s < std::max(n, a.rows()); ++s) {
+          const std::size_t r = d_count < n ? s % d_count : s;
+          if (r < a.rows()) {
+            rotated[row * half + (s + j * b) % half] =
+                rows[r][(s + d) % n] % t;
+          }
         }
       }
       RnsPoly pt_ntt(qp, false);
@@ -533,6 +644,7 @@ Ciphertext shoup_sweep_oracle(const BfvContextPtr& ctx, const Evaluator& eval,
   }
   sum.from_ntt();
   Ciphertext out = eval.rescale(sum);
+  if (plan.two_rows()) eval.add_inplace(out, swap_rows(out));
   for (std::size_t r = n / 2; r >= d_count; r /= 2) {
     eval.add_inplace(out, eval.rotate_rows(out, r, gk));
   }
@@ -540,12 +652,12 @@ Ciphertext shoup_sweep_oracle(const BfvContextPtr& ctx, const Evaluator& eval,
 }
 
 TEST(Bsgs, BatchedMatchesShoupSweepOracle) {
-  // N=64 is a single MultPoly tile per limb, N=128 two; at N=1024 each
-  // tile's 512 diagonals span two storage chunks. Per ring, one shape
-  // has D = n diagonals and a wide one (m = n/4 - 3) sweeps D = n/4 and
-  // folds twice. Batches of 1, 3 and 8 alternate between two sessions,
-  // at 1 and 8 lanes.
-  for (std::size_t ring : {64, 128, 1024}) {
+  // N=64 is a single MultPoly tile per limb, N=128 two; at N=2048 each
+  // tile's 512 two-row plaintexts span two storage chunks. Per ring, one
+  // shape has D = n diagonals and a wide one (m = n/4 - 3) sweeps D = n/4
+  // and folds twice. Batches of 1, 3 and 8 alternate between two
+  // sessions, at 1 and 8 lanes.
+  for (std::size_t ring : {64, 128, 2048}) {
     SCOPED_TRACE(ring);
     BsgsFixture f(ring, 900 + ring);
     const std::size_t n = ring / 2;

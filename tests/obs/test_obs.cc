@@ -13,6 +13,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
@@ -283,6 +285,16 @@ TEST(JsonWriter, RendersFieldsInOrderWithQuotesEscaped) {
             R"("nested":{"x":1}})");
   EXPECT_EQ(JsonWriter::escaped("plain"), "plain");
   EXPECT_EQ(JsonWriter::escaped("k\"ey"), "k\\\"ey");
+}
+
+TEST(JsonWriter, DoublesParseBackBitEqual) {
+  for (double v : {0.1, 12.081937, 1256680.123456}) {
+    const std::string j = JsonWriter().field("v", v).str();
+    const std::string text = j.substr(5, j.size() - 6);  // {"v":...}
+    const double back = std::strtod(text.c_str(), nullptr);
+    EXPECT_EQ(std::memcmp(&back, &v, sizeof(v)), 0) << j;
+  }
+  EXPECT_EQ(JsonWriter().field("v", 1024.0).str(), R"({"v":1024})");
 }
 
 TEST(Metrics, SnapshotJsonRoundTrip) {
