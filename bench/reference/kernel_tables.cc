@@ -115,6 +115,7 @@ const Kernels* scalar52_table() {
       scalar52::rescale_round,
       scalar::barrett_reduce,
       scalar::dot,
+      scalar::dot_pair,
   };
   return &table;
 }
@@ -140,6 +141,7 @@ const Kernels* scalar104_table() {
       scalar104::rescale_round,
       scalar104::barrett_reduce,
       scalar::dot,
+      scalar::dot_pair,
   };
   return &table;
 }

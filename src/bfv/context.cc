@@ -73,6 +73,20 @@ BfvContextPtr BfvContext::create(const BfvParams& params) {
       g[l] = v;
     }
   }
+
+  const std::size_t n = params.n;
+  const int logn = log2_exact(n);
+  std::vector<u64> exp_to_index(2 * n, ~u64{0});
+  for (std::size_t i = 0; i < n; ++i) {
+    exp_to_index[2 * bit_reverse(static_cast<std::uint32_t>(i), logn) + 1] = i;
+  }
+  ctx->slot_to_index_.resize(n);
+  u64 g = 1;  // 3^j mod 2N
+  for (std::size_t j = 0; j < n / 2; ++j) {
+    ctx->slot_to_index_[j] = exp_to_index[g];                  // ψ^{3^j}
+    ctx->slot_to_index_[j + n / 2] = exp_to_index[2 * n - g];  // ψ^{-3^j}
+    g = g * 3 % (2 * n);
+  }
   return ctx;
 }
 

@@ -47,6 +47,16 @@ class BfvContext : public std::enable_shared_from_this<BfvContext> {
   // Galois element 2N - 1 that swaps the two slot rows.
   u64 row_swap_galois_element() const { return 2 * n() - 1; }
 
+  // The batching slot map, the one copy every slot-order consumer reads
+  // (BatchEncoder, BsgsHmvp's matrix encode and request gathers, the
+  // slot-order BSGS keys). Slot j of row r evaluates at
+  // ψ^{(-1)^r·3^j mod 2N} and sits at NTT index slot_to_index()[j + r·N/2]
+  // of the bit-reversed negacyclic transform (index i evaluates at
+  // ψ^{2·rev(i)+1}). So the rotation by r (Galois element 3^r) is a
+  // cyclic shift by r within each row, and the row swap exchanges the
+  // rows. It depends on N only.
+  const std::vector<u64>& slot_to_index() const { return slot_to_index_; }
+
  private:
   BfvContext() = default;
   BfvParams params_;
@@ -56,6 +66,7 @@ class BfvContext : public std::enable_shared_from_this<BfvContext> {
   std::vector<u64> delta_q_;
   std::vector<u64> delta_qp_;
   std::vector<std::vector<u64>> gadget_;
+  std::vector<u64> slot_to_index_;
 };
 
 }  // namespace cham

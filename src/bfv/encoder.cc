@@ -1,7 +1,5 @@
 #include "bfv/encoder.h"
 
-#include "nt/bitops.h"
-
 namespace cham {
 
 CoeffEncoder::CoeffEncoder(BfvContextPtr context) : ctx_(std::move(context)) {}
@@ -46,33 +44,16 @@ BatchEncoder::BatchEncoder(BfvContextPtr context) : ctx_(std::move(context)) {
   CHAM_CHECK_MSG((t - 1) % (2 * n) == 0,
                  "batching requires prime t ≡ 1 (mod 2N)");
   t_ntt_ = get_ntt_tables(n, ctx_->plain_modulus());
-
-  // NTT output index i evaluates at psi^{2*brev(i)+1}. Slot j of row r
-  // evaluates at psi^{(-1)^r * 3^j mod 2N}. Build the map.
-  const int logn = log2_exact(n);
-  std::vector<std::size_t> exp_to_index(2 * n, SIZE_MAX);
-  for (std::size_t i = 0; i < n; ++i) {
-    const u64 e = 2 * bit_reverse(static_cast<std::uint32_t>(i), logn) + 1;
-    exp_to_index[e] = i;
-  }
-  slot_to_index_.resize(n);
-  u64 g = 1;  // 3^j mod 2N
-  const u64 two_n = 2 * n;
-  for (std::size_t j = 0; j < n / 2; ++j) {
-    CHAM_CHECK(exp_to_index[g] != SIZE_MAX);
-    slot_to_index_[j] = exp_to_index[g];                // row 0: psi^{3^j}
-    slot_to_index_[j + n / 2] = exp_to_index[two_n - g];  // row 1: psi^{-3^j}
-    g = (g * 3) % two_n;
-  }
 }
 
 Plaintext BatchEncoder::encode(const std::vector<u64>& slots) const {
   const std::size_t n = ctx_->n();
   CHAM_CHECK_MSG(slots.size() <= n, "too many slots");
   const u64 t = ctx_->plain_modulus().value();
+  const std::vector<u64>& slot_to_index = ctx_->slot_to_index();
   std::vector<u64> evals(n, 0);
   for (std::size_t j = 0; j < slots.size(); ++j) {
-    evals[slot_to_index_[j]] = slots[j] % t;
+    evals[slot_to_index[j]] = slots[j] % t;
   }
   t_ntt_->inverse(evals);
   Plaintext pt;
@@ -85,8 +66,9 @@ std::vector<u64> BatchEncoder::decode(const Plaintext& pt) const {
   CHAM_CHECK(pt.n() == n);
   std::vector<u64> evals = pt.coeffs;
   t_ntt_->forward(evals);
+  const std::vector<u64>& slot_to_index = ctx_->slot_to_index();
   std::vector<u64> slots(n);
-  for (std::size_t j = 0; j < n; ++j) slots[j] = evals[slot_to_index_[j]];
+  for (std::size_t j = 0; j < n; ++j) slots[j] = evals[slot_to_index[j]];
   return slots;
 }
 

@@ -59,8 +59,6 @@ class BatchEncoder {
  private:
   BfvContextPtr ctx_;
   std::shared_ptr<const NttTables> t_ntt_;
-  // slot j <-> NTT output index slot_to_index_[j].
-  std::vector<std::size_t> slot_to_index_;
 };
 
 }  // namespace cham

@@ -129,29 +129,69 @@ FrozenKsk::FrozenKsk(const KeySwitchKey& ksk) {
   for (const RnsPoly& poly : ksk.a) a.emplace_back(poly);
 }
 
-std::shared_ptr<const FrozenKsk> EvkManager::frozen(const KeySwitchKey& ksk) {
+SlotKsk::SlotKsk(const KeySwitchKey& ksk,
+                 const std::vector<u64>& slot_to_index)
+    : width(bsgs_tile_width(slot_to_index.size())),
+      tiles(slot_to_index.size() / width),
+      digits(ksk.b.size()) {
+  const std::size_t limbs = ksk.b.empty() ? 0 : ksk.b[0].limbs();
+  data_.resize(limbs * tiles * 2 * digits * width);
+  for (std::size_t k = 0; k < digits; ++k) {
+    CHAM_CHECK_MSG(ksk.b[k].is_ntt() && ksk.a[k].is_ntt(),
+                   "key-switch key planes must be NTT-form");
+    for (std::size_t l = 0; l < limbs; ++l) {
+      for (std::size_t side = 0; side < 2; ++side) {
+        const u64* src = (side == 0 ? ksk.b : ksk.a)[k].limb(l);
+        for (std::size_t t = 0; t < tiles; ++t) {
+          u64* dst = data_.data() +
+                     (((l * tiles + t) * 2 + side) * digits + k) * width;
+          const u64* idx = slot_to_index.data() + t * width;
+          for (std::size_t w = 0; w < width; ++w) dst[w] = src[idx[w]];
+        }
+      }
+    }
+  }
+}
+
+// Build under the unique lock: concurrent first access serializes and
+// the second arrival finds the entry, so each form of a key is built
+// exactly once per key uid.
+template <typename Form, typename Build>
+std::shared_ptr<const Form> EvkManager::freeze(
+    const KeySwitchKey& ksk, std::shared_ptr<const Form> FrozenForms::*form,
+    const Build& build) {
   CHAM_CHECK_MSG(ksk.context == ctx_,
                  "key-switch key belongs to a different context");
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     auto it = frozen_.find(ksk.uid);
-    if (it != frozen_.end()) {
+    if (it != frozen_.end() && it->second.*form != nullptr) {
       hit_counter().add(1);
-      return it->second;
+      return it->second.*form;
     }
   }
-  // Build under the unique lock: concurrent first access serializes and
-  // the second arrival finds the entry, so the per-coefficient freeze
-  // division runs exactly once per key uid.
   std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = frozen_.find(ksk.uid);
-  if (it != frozen_.end()) {
+  auto [it, fresh] = frozen_.try_emplace(ksk.uid);
+  std::shared_ptr<const Form>& out = it->second.*form;
+  if (out == nullptr) {
+    out = build();
+    (fresh ? freeze_counter() : hit_counter()).add(1);
+  } else {
     hit_counter().add(1);
-    return it->second;
   }
-  auto out = std::make_shared<const FrozenKsk>(ksk);
-  freeze_counter().add(1);
-  return frozen_.emplace(ksk.uid, std::move(out)).first->second;
+  return out;
+}
+
+std::shared_ptr<const FrozenKsk> EvkManager::frozen(const KeySwitchKey& ksk) {
+  return freeze(ksk, &FrozenForms::shoup,
+                [&] { return std::make_shared<const FrozenKsk>(ksk); });
+}
+
+std::shared_ptr<const SlotKsk> EvkManager::frozen_slots(
+    const KeySwitchKey& ksk) {
+  return freeze(ksk, &FrozenForms::slots, [&] {
+    return std::make_shared<const SlotKsk>(ksk, ctx_->slot_to_index());
+  });
 }
 
 std::shared_ptr<const BsgsKeys> EvkManager::bsgs_keys(const GaloisKeys& gk,
@@ -173,7 +213,7 @@ std::shared_ptr<const BsgsKeys> EvkManager::bsgs_keys(const GaloisKeys& gk,
       return it->second;
     }
   }
-  // Assembly outside the lock: tables and KSK freezes are each
+  // Assembly outside the lock: tables and key freezes are each
   // exactly-once cached, so a racing assembly only duplicates shared_ptr
   // plumbing.
   auto make_rot = [&](std::size_t r, u64 element) {
@@ -200,7 +240,13 @@ std::shared_ptr<const BsgsKeys> EvkManager::bsgs_keys(const GaloisKeys& gk,
     keys->lead = {with_coeff(rotation(terms)), swap};
     keys->folds.push_back(swap);
   }
-  for (std::size_t i = 1; i < terms; ++i) keys->babies.push_back(rotation(i));
+  for (std::size_t i = 1; i < terms; ++i) {
+    BsgsKeys::Rot baby;
+    baby.r = i;
+    baby.element = ctx_->rotation_galois_element(i);
+    baby.slots = frozen_slots(gk.get(baby.element));
+    keys->babies.push_back(std::move(baby));
+  }
   for (std::size_t r = baby; r < diags; r += baby) {
     keys->giants.push_back(rotation(r));
   }

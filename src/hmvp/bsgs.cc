@@ -22,9 +22,29 @@ void publish_baseline_stats(const char* prefix, const BaselineStats& st) {
 
 namespace {
 
-// NTT slots per MultPoly tile (see BsgsEncodedMatrix).
-std::size_t tile_width(std::size_t ring_n) {
-  return std::min<std::size_t>(ring_n, 64);
+// The NTT-form limb `src` in slot order (out[j] = src[slot_to_index[j]]),
+// each of its two rows followed by a copy of its first `pad` words, so
+// that a read at row offset o + i with o + width <= N/2 and i <= pad
+// wraps within the row: the rotation by i without a gather.
+void to_slot_rows(const u64* src, const std::vector<u64>& slot_to_index,
+                  std::size_t pad, u64* out) {
+  const std::size_t half = slot_to_index.size() / 2;
+  for (std::size_t row = 0; row < 2; ++row) {
+    const u64* idx = slot_to_index.data() + row * half;
+    u64* dst = out + row * (half + pad);
+    for (std::size_t j = 0; j < half; ++j) dst[j] = src[idx[j]];
+    std::copy_n(dst, pad, dst + half);
+  }
+}
+
+// A slot-order limb back in NTT order: dst[slot_to_index[j]] = src[j].
+// A scatter, so the (cold) source streams in order and only the (warm)
+// destination is written out of order.
+void to_ntt_order(const u64* src, const std::vector<u64>& slot_to_index,
+                  u64* dst) {
+  for (std::size_t j = 0; j < slot_to_index.size(); ++j) {
+    dst[slot_to_index[j]] = src[j];
+  }
 }
 
 // Plaintexts per storage chunk of one (limb, tile) unit: 256 rows of 64
@@ -123,7 +143,7 @@ BsgsEncodedMatrix BsgsHmvp::encode_matrix(const RowSource& a,
   // Slot s = r + k·D of a diagonal belongs to row r: n/D slots per row of
   // a wide matrix, one slot per row otherwise (D = n, reps = 1).
   const std::size_t reps = n / diags;
-  const std::size_t width = tile_width(ctx_->n());
+  const std::size_t width = bsgs_tile_width(ctx_->n());
   const std::size_t tiles = ctx_->n() / width;
   const std::size_t chunk = chunk_rows(plaintexts);
   const std::size_t chunks = plaintexts / chunk;
@@ -134,8 +154,9 @@ BsgsEncodedMatrix BsgsHmvp::encode_matrix(const RowSource& a,
   // Plaintext p = j·h + i: slot row `row` holds diag_d for d = jb + row·h
   // + i, where diag_d[s] = A[r][(s + d) mod n] for s = r + k·D,
   // pre-rotated right by j·b slots. Encoded, centered-lifted into the
-  // base_qp NTT domain and copied into its row of every (limb, tile) unit
-  // while still in cache.
+  // base_qp NTT domain and gathered back into slot order, into its row of
+  // every (limb, tile) unit, while still in cache.
+  const std::vector<u64>& slot_to_index = ctx_->slot_to_index();
   auto& pool = ThreadPool::global();
   int lanes = static_cast<int>(
       std::min<std::size_t>({static_cast<std::size_t>(threads),
@@ -160,10 +181,12 @@ BsgsEncodedMatrix BsgsHmvp::encode_matrix(const RowSource& a,
       eval_.transform_plain_ntt_into(encoder_.encode(slots), pt_ntt);
       CHAM_CHECK_MSG(pt_ntt.is_ntt(), "diagonal must be NTT-form");
       for (std::size_t l = 0; l < pt_ntt.limbs(); ++l) {
+        const u64* src = pt_ntt.limb(l);
         for (std::size_t s = 0; s < tiles; ++s) {
-          std::copy_n(pt_ntt.limb(l) + s * width, width,
-                      out.diag_[(l * tiles + s) * chunks + p / chunk].data() +
-                          p % chunk * width);
+          u64* dst = out.diag_[(l * tiles + s) * chunks + p / chunk].data() +
+                     p % chunk * width;
+          const u64* idx = slot_to_index.data() + s * width;
+          for (std::size_t w = 0; w < width; ++w) dst[w] = src[idx[w]];
         }
       }
     }
@@ -206,23 +229,31 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
   const std::size_t q_limbs = base_q->size();
   const std::size_t dnum = ctx_->dnum();
   const std::size_t ring_n = ctx_->n();
-  const std::size_t width = tile_width(ring_n);
+  const std::size_t half = ring_n / 2;
+  const std::size_t width = bsgs_tile_width(ring_n);
   const std::size_t tiles = ring_n / width;
   const std::size_t units = base_qp->size() * tiles;  // (limb, tile)
   const std::size_t chunk = chunk_rows(a.plaintexts());
   const std::size_t chunks = a.plaintexts() / chunk;
   CHAM_CHECK_MSG(a.diag_.size() == units * chunks,
                  "encoded matrix belongs to another ring");
+  const std::vector<u64>& slot_to_index = ctx_->slot_to_index();
 
-  // Per-session sub-batch state: each request carries its own digit
-  // decomposition, frozen key set and inner sums — only the diagonal
-  // operands in `a` are shared across the batch.
+  // A request's operands in slot order: per base_qp limb, its dnum
+  // digits, then p·b̂ and p·â (zero on the special prime), each a
+  // `padded`-word polynomial whose two rows carry h - 1 wrap-around words.
+  const std::size_t pad = h - 1;
+  const std::size_t padded = 2 * (half + pad);
+  const std::size_t limb_words = (dnum + 2) * padded;
+
+  // Per-session sub-batch state: each request carries its own slot-order
+  // operands, frozen key set and inner sums — only the diagonal operands
+  // in `a` are shared across the batch.
   struct Req {
     const Evaluator* eval = nullptr;
     std::shared_ptr<const BsgsKeys> keys;
-    std::vector<RnsPoly> digits;    // hoisted digits of ct₂.a (base_qp)
-    Ciphertext p_ct;                // p·ct₂, NTT form over base_q
-    std::vector<Ciphertext> inner;  // per giant step, NTT over base_qp
+    simd::AlignedU64Vec slots;      // [limb][digit.., p·b̂, p·â][padded]
+    std::vector<Ciphertext> inner;  // per giant step, over base_qp
   };
   std::vector<Req> reqs(k);
   for (std::size_t r = 0; r < k; ++r) {
@@ -234,7 +265,7 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
     const GaloisKeys* gk = e.gk != nullptr ? e.gk : gk_;
     CHAM_CHECK_MSG(gk != nullptr, "batched BSGS needs Galois keys");
     rq.keys = rq.eval->evk().bsgs_keys(*gk, n, diags, b);
-    rq.digits.assign(dnum, RnsPoly(base_qp, false));
+    rq.slots.resize(base_qp->size() * limb_words);
     // The giant stage's dot products write every slot of every inner
     // sum, so they are allocated without a fill.
     rq.inner.resize(giants);
@@ -268,8 +299,8 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
 
   // Per request: rescale; on two slot rows the lead rotations
   // ct₂ = ct + swap(rot_h(ct)), so that row 1 carries v rotated by h;
-  // then the shared digit decomposition and p·ct₂ in the NTT domain —
-  // everything the fused baby rotations read.
+  // then the shared digit decomposition and p·ct₂ in the NTT domain,
+  // gathered once into slot order — everything the baby rotations read.
   {
     CHAM_SPAN_ARG("bsgs.batch_baby_steps", k * h);
     const u64 p = base_qp->modulus(q_limbs).value();
@@ -279,20 +310,36 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
     }
     run_lanes(k, [&](std::size_t, std::size_t r) {
       Req& rq = reqs[r];
-      rq.p_ct = rq.eval->rescale(batch[r].ct_v[0]);
+      std::vector<RnsPoly> digits(dnum, RnsPoly(base_qp, false));
+      Ciphertext p_ct = rq.eval->rescale(batch[r].ct_v[0]);
       if (!rq.keys->lead.empty()) {
-        Ciphertext row1 = rq.p_ct;
+        Ciphertext row1 = p_ct;
         for (const BsgsKeys::Rot& rot : rq.keys->lead) {
-          rq.eval->decompose_ntt_digits(row1.a, rq.digits, threads);
-          row1 = rq.eval->rotate_hoisted(row1, rq.digits, *rot.coeff,
-                                         *rot.ntt, *rot.ksk);
+          rq.eval->decompose_ntt_digits(row1.a, digits, threads);
+          row1 = rq.eval->rotate_hoisted(row1, digits, *rot.coeff, *rot.ntt,
+                                         *rot.ksk);
         }
-        rq.eval->add_inplace(rq.p_ct, row1);
+        rq.eval->add_inplace(p_ct, row1);
       }
-      rq.eval->decompose_ntt_digits(rq.p_ct.a, rq.digits, threads);
-      rq.p_ct.to_ntt();
-      rq.p_ct.b.mul_scalar_inplace(p_mod_q);
-      rq.p_ct.a.mul_scalar_inplace(p_mod_q);
+      rq.eval->decompose_ntt_digits(p_ct.a, digits, threads);
+      p_ct.to_ntt();
+      p_ct.b.mul_scalar_inplace(p_mod_q);
+      p_ct.a.mul_scalar_inplace(p_mod_q);
+      for (std::size_t l = 0; l < base_qp->size(); ++l) {
+        u64* out = rq.slots.data() + l * limb_words;
+        for (std::size_t d = 0; d < dnum; ++d) {
+          to_slot_rows(digits[d].limb(l), slot_to_index, pad,
+                       out + d * padded);
+        }
+        if (l < q_limbs) {
+          to_slot_rows(p_ct.b.limb(l), slot_to_index, pad,
+                       out + dnum * padded);
+          to_slot_rows(p_ct.a.limb(l), slot_to_index, pad,
+                       out + (dnum + 1) * padded);
+        } else {  // p·ct₂ vanishes mod p
+          std::fill_n(out + dnum * padded, 2 * padded, 0);
+        }
+      }
     });
   }
 
@@ -301,72 +348,67 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
   {
     CHAM_SPAN("bsgs.batch_giant_sweep");
 
-    // MultPoly, split into disjoint (limb, tile) units. Without its
-    // mod-down a hoisted rotation is slot-local in the NTT domain over
-    // base_qp: slot s of baby i is
-    //   b side  p·b̂[π_i(s)] + Σ_k d̂_k[π_i(s)]·kb_{i,k}[s]
-    //   a side               Σ_k d̂_k[π_i(s)]·ka_{i,k}[s]
-    // (π_i the NTT-domain automorph table, d̂_k the request's digits,
-    // kb/ka the frozen key; baby 0 is p·ct₂ itself). So each unit builds
-    // its requests' h baby tiles in lane scratch, then for each giant step
-    // fetches the unit's block of h plaintexts once and feeds every
-    // request through one lazy dot product per polynomial. Every value is
-    // a canonical residue, so the result is the same for every lane count
-    // and batch composition.
+    // MultPoly in slot order, split into disjoint (limb, tile) units.
+    // Without its mod-down a hoisted rotation is slot-local over base_qp,
+    // and in slot order the rotation by i is a shift by i within each
+    // row, so slot s of baby i is
+    //   b side  p·b̂[s+i] + Σ_k d̂_k[s+i]·kb_{i,k}[s]
+    //   a side               Σ_k d̂_k[s+i]·ka_{i,k}[s]
+    // (d̂_k the request's digits, kb/ka the frozen key's slot-order
+    // planes, s+i taken within the row; baby 0 is p·ct₂ itself). So each
+    // unit builds its requests' h baby tiles in lane scratch with one
+    // dot_pair each, reading the padded operands at offset i, then for
+    // each giant step fetches the unit's block of h plaintexts once and
+    // feeds every request through one lazy dot product per polynomial.
+    // Every value is a canonical residue, so the result is the same for
+    // every lane count and batch composition.
     const simd::Kernels& kern = simd::active();
     const std::size_t req_words = 2 * h * width;  // one request's tiles
     std::vector<simd::AlignedU64Vec> tiles_of(
         static_cast<std::size_t>(lanes_for(units)),
-        simd::AlignedU64Vec(k * req_words + width));
+        simd::AlignedU64Vec(k * req_words));
     {
       CHAM_SPAN_ARG("bsgs.multpoly", units);
       run_lanes(units, [&](std::size_t lane, std::size_t unit) {
         const std::size_t l = unit / tiles;
-        const std::size_t slot = unit % tiles * width;
+        const std::size_t tile = unit % tiles;
+        const std::size_t slot = tile * width;
+        // The tile's first word in a padded operand.
+        const std::size_t at = slot + slot / half * pad;
         const u64 q = base_qp->modulus(l).value();
-        const bool p_term = l < q_limbs;  // p·ct₂ vanishes mod p
+        const u64 q_barrett = base_qp->crt().q_barrett(l);
+        const ShoupMul& r64 = base_qp->crt().r64(l);
         simd::AlignedU64Vec& buf = tiles_of[lane];
-        u64* gathered = buf.data() + k * req_words;
         for (std::size_t r = 0; r < k; ++r) {
+          const u64* p_b = reqs[r].slots.data() + l * limb_words +
+                           dnum * padded + at;
           u64* xb = buf.data() + r * req_words;
-          u64* xa = xb + h * width;
-          if (p_term) {
-            std::copy_n(reqs[r].p_ct.b.limb(l) + slot, width, xb);
-            std::copy_n(reqs[r].p_ct.a.limb(l) + slot, width, xa);
-          } else {
-            std::fill_n(xb, width, 0);
-            std::fill_n(xa, width, 0);
-          }
+          std::copy_n(p_b, width, xb);
+          std::copy_n(p_b + padded, width, xb + h * width);
         }
         // Baby-major, so requests of one session reuse the key slice while
-        // it is in L1.
+        // it is in L1. The next baby's key block is prefetched: the blocks
+        // of up to 31 keys per session interleave, too many streams for
+        // the hardware prefetcher (babies 3.0 -> 2.5 ms per request on the
+        // served 1024×4096 plan).
+        const std::size_t key_words = 2 * dnum * width;
         for (std::size_t i = 1; i < h; ++i) {
           for (std::size_t r = 0; r < k; ++r) {
             const Req& rq = reqs[r];
-            const BsgsKeys::Rot& rot = rq.keys->babies[i - 1];
-            const u64* idx = rot.ntt->src_idx.data() + slot;
-            const u64* flip = rot.ntt->flip.data() + slot;
+            if (i + 1 < h) {
+              const u64* next = rq.keys->babies[i].slots->tile(l, tile);
+              for (std::size_t w = 0; w < key_words; w += 8) {
+                __builtin_prefetch(next + w);
+              }
+            }
+            const u64* key = rq.keys->babies[i - 1].slots->tile(l, tile);
+            const u64* digits = rq.slots.data() + l * limb_words + at + i;
             u64* ob = buf.data() + r * req_words + i * width;
-            u64* oa = ob + h * width;
-            for (std::size_t d = 0; d < dnum; ++d) {
-              kern.permute(rq.digits[d].limb(l), idx, flip, gathered, width,
-                           q);
-              const ShoupPoly& kb = rot.ksk->b[d];
-              const ShoupPoly& ka = rot.ksk->a[d];
-              const auto mul = d == 0 ? kern.mul_shoup : kern.mul_shoup_acc;
-              mul(gathered, kb.operand(l) + slot, kb.quotient(l) + slot, ob,
-                  width, q);
-              mul(gathered, ka.operand(l) + slot, ka.quotient(l) + slot, oa,
-                  width, q);
-            }
-            if (p_term) {
-              kern.permute(rq.p_ct.b.limb(l), idx, flip, gathered, width, q);
-              kern.add(ob, gathered, ob, width, q);
-            }
+            kern.dot_pair(digits, padded, digits + dnum * padded, key,
+                          key + dnum * width, width, ob, ob + h * width, dnum,
+                          width, q, q_barrett, r64.operand, r64.quotient);
           }
         }
-        const u64 q_barrett = base_qp->crt().q_barrett(l);
-        const ShoupMul& r64 = base_qp->crt().r64(l);
         for (std::size_t j = 0; j < giants; ++j) {
           const u64* w = a.diag_[unit * chunks + j * h / chunk].data() +
                          j * h % chunk * width;
@@ -380,52 +422,82 @@ std::vector<Ciphertext> BsgsHmvp::multiply_encoded_batch(
           }
         }
       });
+      for (Req& rq : reqs) rq.slots = simd::AlignedU64Vec();
     }
 
-    // Giant rotations flattened over (request, giant j >= 1). Only the
-    // a-side is rounded down by p (3 INTTs and one divide-and-round), so
-    // that it can be decomposed; the key switch stays lazy and the b-side
-    // is permuted in the NTT domain, both over base_qp. The rounding
-    // leaves one error term per giant step, the size of a mod-down's.
+    // Giant rotations. The inner sums are in slot order, where giant j's
+    // b-side rotation by j·b is a shift within each row: first, per
+    // (request, limb), the shifted b-sides add into inner sum 0, which
+    // becomes the request's slot-order accumulator. Then, flattened over
+    // (request, giant j >= 1), each a-side goes back to NTT order and is
+    // rounded down by p (3 INTTs and one divide-and-round) so that it
+    // can be decomposed; the key switch stays lazy over base_qp and
+    // overwrites the giant's inner sum in NTT order. The rounding leaves
+    // one error term per giant step, the size of a mod-down's.
     struct Scratch {
+      RnsPoly a;  // a slot-order polynomial in NTT order
       RnsPoly a_q;
       std::vector<RnsPoly> digits;
-      RnsPoly perm;
     };
-    // Sized for both loops below (k·(giants - 1) giant steps, k folds).
+    // Sized for the lane loops below (k·(giants - 1) giant steps, k folds).
     std::vector<Scratch> scratch(
         static_cast<std::size_t>(lanes_for(k * giants)));
     for (Scratch& s : scratch) {
+      s.a = RnsPoly(base_qp, true);
       s.a_q = RnsPoly(base_q, false);
       s.digits.assign(dnum, RnsPoly(base_qp, false));
-      s.perm = RnsPoly(base_qp, true);
     }
     {
       CHAM_SPAN_ARG("bsgs.giant_steps", k * (giants - 1));
+      const std::size_t limbs = base_qp->size();
+      run_lanes(k * limbs, [&](std::size_t, std::size_t idx) {
+        Req& rq = reqs[idx / limbs];
+        const std::size_t l = idx % limbs;
+        const u64 q = base_qp->modulus(l).value();
+        for (std::size_t j = 1; j < giants; ++j) {
+          const std::size_t shift = j * b;  // < D <= N/2
+          for (std::size_t row = 0; row < 2; ++row) {
+            u64* acc = rq.inner[0].b.limb(l) + row * half;
+            const u64* src = rq.inner[j].b.limb(l) + row * half;
+            kern.add(acc, src + shift, acc, half - shift, q);
+            kern.add(acc + half - shift, src, acc + half - shift, shift, q);
+          }
+        }
+      });
       run_lanes(k * (giants - 1), [&](std::size_t lane, std::size_t idx) {
         Req& rq = reqs[idx / (giants - 1)];
         const std::size_t j = 1 + idx % (giants - 1);
         const BsgsKeys::Rot& rot = rq.keys->giants[j - 1];
         Ciphertext& acc = rq.inner[j];
         Scratch& s = scratch[lane];
-        acc.a.from_ntt();
-        divide_round_by_last_into(acc.a, s.a_q);
+        for (std::size_t l = 0; l < base_qp->size(); ++l) {
+          to_ntt_order(acc.a.limb(l), slot_to_index, s.a.limb(l));
+        }
+        s.a.set_ntt_form(true);
+        s.a.from_ntt();
+        divide_round_by_last_into(s.a, s.a_q);
         rq.eval->decompose_ntt_digits(s.a_q, s.digits);
-        acc.b.automorph_into(*rot.ntt, s.perm);
         rq.eval->keyswitch_hoisted_qp(s.digits, *rot.ntt, *rot.ksk, acc);
-        acc.b.add_inplace(s.perm);
       });
     }
 
-    // Per request: sum the giant steps over base_qp, round down by p
-    // once, then fold. On two slot rows the first fold adds the row swap,
-    // so row 0 sums every diagonal; then the n/D partial sums of each row
-    // fold into its slot, one hoisted rotate-and-add per halving
-    // (rotations by n/2, n/4, .., D).
+    // Per request: the slot-order accumulator back to NTT order, plus the
+    // giant key switches, summed over base_qp; round down by p once, then
+    // fold. On two slot rows the first fold adds the row swap, so row 0
+    // sums every diagonal; then the n/D partial sums of each row fold
+    // into its slot, one hoisted rotate-and-add per halving (rotations by
+    // n/2, n/4, .., D).
     CHAM_SPAN_ARG("bsgs.folds", k);
     run_lanes(k, [&](std::size_t lane, std::size_t r) {
       Req& rq = reqs[r];
       Ciphertext& sum = rq.inner[0];
+      u64* tmp = scratch[lane].a.limb(0);  // N words of lane scratch
+      for (RnsPoly* poly : {&sum.b, &sum.a}) {
+        for (std::size_t l = 0; l < base_qp->size(); ++l) {
+          to_ntt_order(poly->limb(l), slot_to_index, tmp);
+          std::copy_n(tmp, ring_n, poly->limb(l));
+        }
+      }
       for (std::size_t j = 1; j < giants; ++j) {
         rq.eval->add_inplace(sum, rq.inner[j]);
       }

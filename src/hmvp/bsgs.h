@@ -27,29 +27,36 @@
 //
 // The rotation cost is restructured around double hoisting (Halevi–Shoup
 // digit sharing, plus Bossuat et al.'s one mod-down per sum):
-//  * ct₂ is decomposed into evaluation-form key-switch digits ONCE;
-//    every baby-step rotation is then a slot gather on the shared digit
-//    vector plus one inner product against a Shoup-frozen Galois KSK
-//    (EvkManager::bsgs_keys). The baby-step count b = min(baby_steps(n),
-//    D) comes from the column count, so every lead, baby, giant and fold
-//    rotation is an element of required_galois_elements(n): clients
-//    upload one key set per column count, whatever the row count.
-//  * No baby or giant rotation is rounded down by the special prime p on
-//    its own. Left over base_qp in the NTT domain, a baby rotation is
-//    slot-local, so the rotations are fused into MultPoly and no baby
-//    polynomial is stored: MultPoly runs in tiles of min(N, 64) slots per
-//    limb, each (limb, tile) unit builds its requests' h baby tiles in
-//    lane scratch, and simd::Kernels::dot sums each slot's h products
-//    against the unit's plaintext block without reduction and reduces
-//    once. A plaintext tile is fetched once per giant step for the whole
-//    batch.
+//  * ct₂ is decomposed into evaluation-form key-switch digits ONCE. The
+//    baby-step count b = min(baby_steps(n), D) comes from the column
+//    count, so every lead, baby, giant and fold rotation is an element of
+//    required_galois_elements(n): clients upload one key set per column
+//    count, whatever the row count.
+//  * MultPoly runs in BatchEncoder slot order (BfvContext::slot_to_index),
+//    where slot j of row r evaluates at ψ^(±3^j) and the rotation by i is
+//    a cyclic shift by i within each row. Each request's digits and p·ct₂
+//    are gathered into slot order once, each row padded with its first
+//    h - 1 words, so that baby i's operands are the request's rows read
+//    at offset +i: no routing table, no gather. Left over base_qp without
+//    its mod-down a baby rotation is slot-local, so the babies are fused
+//    into MultPoly and no baby polynomial is stored: MultPoly runs in
+//    tiles of min(N/2, 64) slots per limb, each (limb, tile) unit builds
+//    its requests' h baby tiles in lane scratch (one dot_pair per baby,
+//    against the key's slot-order planes, EvkManager::bsgs_keys), and
+//    simd::Kernels::dot sums each slot's h products against the unit's
+//    plaintext block without reduction and reduces once. A plaintext
+//    tile is fetched once per giant step for the whole batch.
 //  * A giant step rounds down only its a-side, to decompose it, and
-//    key-switches with no mod-down; its b-side stays over base_qp and is
-//    permuted in the NTT domain. Each request sums its giant outputs over
-//    base_qp and rounds down by p once, then folds (decompose, then
-//    rotate_hoisted), the swap-fold first. Every sum before a rounding is
-//    exact mod q and the (limb, tile) units are disjoint, so results are
-//    bit-exact for every lane count, batch composition and SIMD level.
+//    key-switches with no mod-down. Its inner sum comes out in slot
+//    order, where its b-side rotation by j·b is a row shift: the shifted
+//    b-sides add into inner sum 0, a slot-order accumulator beside the
+//    NTT-order key-switch outputs. Each a-side goes back to NTT order
+//    before its INTT, and the accumulator once per request. Each request
+//    sums the lot over base_qp and rounds down by p once, then folds
+//    (decompose, then rotate_hoisted), the swap-fold first. Every sum
+//    before a rounding is exact mod q and the (limb, tile) units are
+//    disjoint, so results are bit-exact for every lane count, batch
+//    composition and SIMD level.
 //
 // DESIGN.md §6h maps the shared decomposition onto CHAM's on-chip digit
 // reuse and the tiles onto its banked operand RAMs, and documents the
@@ -93,11 +100,13 @@ void publish_baseline_stats(const char* prefix, const BaselineStats& st);
 // base_qp) and NTT'd. Amortises the encode+transform passes across
 // repeated products with the same matrix (the serving layer freezes one
 // per matrix version, see MvpOperand).
-// Layout: tile-major [limb][tile][plaintext][width] with width =
-// min(N, 64), so the h plaintexts one giant step needs for one tile are
-// one contiguous h·width-word block (16 KiB at b = 64). Each (limb, tile)
-// unit's rows are stored in chunks of up to 256 plaintexts (128 KiB).
-// Each plaintext is written straight into its tiles as it is encoded.
+// Layout: tile-major [limb][tile][plaintext][width] in BatchEncoder slot
+// order, with width = min(N/2, 64) so that a tile never straddles the two
+// slot rows: tile s holds slots s·width .. s·width + width - 1, and the h
+// plaintexts one giant step needs for one tile are one contiguous
+// h·width-word block (16 KiB at b = 64). Each (limb, tile) unit's rows
+// are stored in chunks of up to 256 plaintexts (128 KiB). Each plaintext
+// is gathered from NTT order straight into its tiles as it is encoded.
 // Memory: |base_qp|·N·D/2 words when b >= 2 (96 MiB at N = 8192 and
 // 1024×4096), |base_qp|·N·D when b = 1.
 class BsgsEncodedMatrix {
@@ -116,7 +125,7 @@ class BsgsEncodedMatrix {
  private:
   friend class BsgsHmvp;
   std::size_t rows_ = 0, cols_ = 0, diags_ = 0, baby_ = 0;
-  // NTT residues over base_qp:
+  // NTT residues over base_qp, in slot order:
   // [(limb·tiles + tile)·chunks + p / chunk] -> [p % chunk][width].
   std::vector<simd::AlignedU64Vec> diag_;
 };

@@ -170,18 +170,39 @@ struct Kernels {
   // --- lazy dot product over strided terms (BSGS MultPoly) ---
   // out[s] = Σ_{t<terms} x[t·stride+s]·w[t·stride+s] mod q for s < len,
   // fully reduced, with x and w entries < q and stride >= len. Products
-  // are summed without reduction and folded once per column with the
-  // CrtSpans::reduce_words_mod identity (hi·2^64 + lo) mod q =
-  // (hi mod q)·(2^64 mod q) + (lo mod q), so the caller passes the frozen
-  // constants q_barrett = floor(2^64/q) and (r64_op, r64_quo), the Shoup
-  // pair of 2^64 mod q. A body that would overflow its accumulator folds
-  // after every flush interval (dot_flush_u128 / kDotFlush52) and keeps
+  // are summed without reduction and folded once per column, so the
+  // caller passes the frozen constants q_barrett = floor(2^64/q) and
+  // (r64_op, r64_quo), the Shoup pair of 2^64 mod q. The u128 body folds
+  // with the CrtSpans::reduce_words_mod identity (hi·2^64 + lo) mod q =
+  // (hi mod q)·(2^64 mod q) + (lo mod q). The IFMA body (q < kIfmaQBound
+  // and q > 2^12, so that q_barrett fits a 52-bit operand) folds in
+  // 52-bit arithmetic: the column value V = h·2^64 + l (h < 2^49)
+  // becomes h·(2^64 mod q) + l, one 52-bit Shoup product in [0, 2q) plus
+  // one Barrett step on l >> 12 in [0, 3q), then three conditional
+  // subtractions. A body that would overflow its accumulator folds after
+  // every flush interval (dot_flush_u128 / kDotFlush52) and keeps
   // summing on top of the residue. Outputs are canonical, hence
-  // bit-exact across tables. The scalar body runs on every table except
-  // IFMA with q < kIfmaQBound, which runs 52-bit lo/hi accumulators.
+  // bit-exact across tables. The u128 body runs on every table except
+  // IFMA at the moduli above.
   void (*dot)(const u64* x, const u64* w, u64* out, std::size_t terms,
               std::size_t len, std::size_t stride, u64 q, u64 q_barrett,
               u64 r64_op, u64 r64_quo);
+
+  // --- paired lazy dot over shared terms (BSGS baby rotations) ---
+  // For s < len, with x_t = x + t·x_stride and the planes
+  // wb_t = wb + t·w_stride, wa_t = wa + t·w_stride:
+  //   out_b[s] = (c[s] + Σ_{t<terms} x_t[s]·wb_t[s]) mod q
+  //   out_a[s] = Σ_{t<terms} x_t[s]·wa_t[s] mod q
+  // fully reduced; every input entry < q, and c may be null (read as 0).
+  // Each x term is loaded once for both sums, c enters as the carried
+  // residue, and each output folds once with dot's constants and bodies.
+  // terms must not exceed dot_flush_u128(q) or kDotFlush52, so no body
+  // flushes (the hoisted key switch has dnum terms).
+  void (*dot_pair)(const u64* x, std::size_t x_stride, const u64* c,
+                   const u64* wb, const u64* wa, std::size_t w_stride,
+                   u64* out_b, u64* out_a, std::size_t terms,
+                   std::size_t len, u64 q, u64 q_barrett, u64 r64_op,
+                   u64 r64_quo);
 };
 
 // Products the u128 dot body sums between folds at modulus q: the
@@ -197,7 +218,8 @@ inline std::size_t dot_flush_u128(u64 q) {
 // Products the 52-bit IFMA dot body sums between folds: each adds the
 // low 52 bits of a product (< 2^52) to a 64-bit lane that may already
 // hold a carried residue < q < 2^50, and 4095·(2^52 - 1) + 2^50 < 2^64.
-// The high-half lane gains < 2^48 per product and never binds first.
+// The high-half lane gains < 2^48 per product, so it stays below the
+// fold's 2^61 and never binds first.
 inline constexpr std::size_t kDotFlush52 = 4095;
 
 // The table selected at startup (CPUID best, CHAM_SIMD_LEVEL override).

@@ -164,6 +164,7 @@ const Kernels* avx2_table() {
       K::rescale_round,
       K::barrett_reduce,
       scalar::dot,
+      scalar::dot_pair,
   };
   return &table;
 }

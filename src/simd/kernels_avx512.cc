@@ -48,6 +48,7 @@ const Kernels* avx512_table() {
       K::rescale_round,
       K::barrett_reduce,
       scalar::dot,
+      scalar::dot_pair,
   };
   return &table;
 }

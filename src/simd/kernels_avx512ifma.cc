@@ -296,44 +296,74 @@ void rescale_round(const u64* xl, const u64* xp, u64* out, std::size_t n,
       xl, xp, out, n, pv, q, q_barrett, pinv_op, pinv_quo);
 }
 
-// Lazy 52-bit dot product over V·8 columns (q < kIfmaQBound, operands
-// < q): vpmadd52luq/huq add the low and high 52-bit halves of every
-// product into separate 64-bit lanes, so column s holds hi·2^52 + lo and
-// nothing is reduced until the fold. All 2V accumulators stay in
-// registers while the terms stream through one contiguous row each.
+// The 52-bit dot bodies' fold: the canonical residue of hi·2^52 + lo
+// per lane (hi < 2^61, lo < 2^64), in 52-bit IFMA arithmetic. Re-split
+// as V = h·2^64 + l (h < 2^49), V ≡ h·(2^64 mod q) + l (mod q):
+//   t = h·r64 by Shoup on the 52-bit quotient r64_quo >> 12, in [0, 2q);
+//   u = l - e·q with e = floor((l >> 12)·q_barrett / 2^52), which
+//       undershoots floor(l/q) by at most 2, so u is in [0, 3q);
+// both < 2^52, so their low 52 bits are exact, and each subtraction of
+// a multiple of q is one madd52lo by 2^52 - q. Three conditional
+// subtractions bring u + t from [0, 5q) to [0, q). Requires q < 2^50 and
+// q_barrett = floor(2^64/q) < 2^52.
+struct Fold52 {
+  Fold52(u64 q, u64 q_barrett, u64 r64_op, u64 r64_quo)
+      : vq(set(q)),
+        v2q(set(2 * q)),
+        vnq(set((1ULL << 52) - q)),
+        vqb(set(q_barrett)),
+        vr64(set(r64_op)),
+        vr64q(set(r64_quo >> 12)) {}
+
+  static __m512i set(u64 v) {
+    return _mm512_set1_epi64(static_cast<long long>(v));
+  }
+  // a >= m ? a - m : a (the wrapped difference is huge, so umin picks
+  // the unwrapped value).
+  static __m512i csub(__m512i a, __m512i m) {
+    return _mm512_min_epu64(a, _mm512_sub_epi64(a, m));
+  }
+
+  __m512i operator()(__m512i lo, __m512i hi) const {
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i mask52 = set((1ULL << 52) - 1);
+    const __m512i l = _mm512_add_epi64(lo, _mm512_slli_epi64(hi, 52));
+    const __mmask8 carry = _mm512_cmplt_epu64_mask(l, lo);
+    __m512i h = _mm512_srli_epi64(hi, 12);
+    h = _mm512_mask_add_epi64(h, carry, h, set(1));
+    const __m512i th = _mm512_madd52hi_epu64(zero, h, vr64q);
+    const __m512i t = _mm512_and_si512(
+        _mm512_madd52lo_epu64(_mm512_madd52lo_epu64(zero, h, vr64), th, vnq),
+        mask52);
+    const __m512i e =
+        _mm512_madd52hi_epu64(zero, _mm512_srli_epi64(l, 12), vqb);
+    const __m512i u =
+        _mm512_and_si512(_mm512_madd52lo_epu64(l, e, vnq), mask52);
+    const __m512i s = _mm512_add_epi64(t, csub(u, v2q));  // [0, 4q)
+    return csub(csub(s, v2q), vq);
+  }
+
+  __m512i vq, v2q, vnq, vqb, vr64, vr64q;
+};
+
+// Lazy 52-bit dot product over V·8 columns (operands < q):
+// vpmadd52luq/huq add the low and high 52-bit halves of every product
+// into separate 64-bit lanes, so column s holds hi·2^52 + lo and nothing
+// is reduced until the fold. All 2V accumulators stay in registers while
+// the terms stream through one contiguous row each.
 template <std::size_t V>
 void dot52_cols(const u64* x, const u64* w, u64* out, std::size_t terms,
-                std::size_t stride, u64 q, u64 q_barrett, u64 r64_op,
-                u64 r64_quo) {
+                std::size_t stride, const Fold52& fold) {
   constexpr std::size_t W = Ifma::W;
   __m512i lo[V], hi[V];
   for (std::size_t v = 0; v < V; ++v) {
     lo[v] = _mm512_setzero_si512();
     hi[v] = _mm512_setzero_si512();
   }
-  alignas(64) u64 hw[V * W] = {}, lw[V * W] = {};
-  // Fold to canonical residues in `dst`: the 128-bit column value is
-  // re-split into 64-bit words (H, L), then reduced with the
-  // reduce_words_mod sequence.
-  const auto fold = [&](u64* dst) {
-    const __m512i one = _mm512_set1_epi64(1);
-    for (std::size_t v = 0; v < V; ++v) {
-      const __m512i l = _mm512_add_epi64(lo[v], _mm512_slli_epi64(hi[v], 52));
-      const __m512i h = _mm512_srli_epi64(hi[v], 12);
-      const __mmask8 carry = _mm512_cmplt_epu64_mask(l, lo[v]);
-      _mm512_store_si512(lw + v * W, l);
-      _mm512_store_si512(hw + v * W, _mm512_mask_add_epi64(h, carry, h, one));
-    }
-    K104::barrett_reduce(hw, hw, V * W, q, q_barrett);
-    K52::mul_scalar_shoup(hw, r64_op, r64_quo, hw, V * W, q);
-    K104::barrett_reduce(lw, lw, V * W, q, q_barrett);
-    K104::add(hw, lw, dst, V * W, q);
-  };
   for (std::size_t t0 = 0; t0 < terms;) {
     if (t0 > 0) {  // flush: keep summing on top of the residue
-      fold(lw);
       for (std::size_t v = 0; v < V; ++v) {
-        lo[v] = _mm512_load_si512(lw + v * W);
+        lo[v] = fold(lo[v], hi[v]);
         hi[v] = _mm512_setzero_si512();
       }
     }
@@ -351,30 +381,102 @@ void dot52_cols(const u64* x, const u64* w, u64* out, std::size_t terms,
     }
     t0 = end;
   }
-  fold(out);
+  for (std::size_t v = 0; v < V; ++v) {
+    _mm512_storeu_si512(out + v * W, fold(lo[v], hi[v]));
+  }
+}
+
+// The IFMA fold's preconditions: the single-word path, and a Barrett
+// ratio that fits a 52-bit operand (q > 2^12).
+inline bool fold52(u64 q, u64 q_barrett) {
+  return use52(q) && (q_barrett >> 52) == 0;
 }
 
 void dot(const u64* x, const u64* w, u64* out, std::size_t terms,
          std::size_t len, std::size_t stride, u64 q, u64 q_barrett,
          u64 r64_op, u64 r64_quo) {
-  if (!use52(q)) {
+  if (!fold52(q, q_barrett)) {
     scalar::dot(x, w, out, terms, len, stride, q, q_barrett, r64_op,
                 r64_quo);
     return;
   }
   constexpr std::size_t W = Ifma::W;
+  const Fold52 fold(q, q_barrett, r64_op, r64_quo);
   std::size_t s = 0;
   for (; s + 8 * W <= len; s += 8 * W) {
-    dot52_cols<8>(x + s, w + s, out + s, terms, stride, q, q_barrett,
-                  r64_op, r64_quo);
+    dot52_cols<8>(x + s, w + s, out + s, terms, stride, fold);
   }
   for (; s + W <= len; s += W) {
-    dot52_cols<1>(x + s, w + s, out + s, terms, stride, q, q_barrett,
-                  r64_op, r64_quo);
+    dot52_cols<1>(x + s, w + s, out + s, terms, stride, fold);
   }
   if (s < len) {
     scalar::dot(x + s, w + s, out + s, terms, len - s, stride, q, q_barrett,
                 r64_op, r64_quo);
+  }
+}
+
+// dot_pair over V·8 columns: four accumulators per column group, each x
+// row loaded once for both sums, c loaded as the b side's low lanes.
+template <std::size_t V>
+void dot_pair52_cols(const u64* x, std::size_t x_stride, const u64* c,
+                     const u64* wb, const u64* wa, std::size_t w_stride,
+                     u64* out_b, u64* out_a, std::size_t terms,
+                     const Fold52& fold) {
+  constexpr std::size_t W = Ifma::W;
+  __m512i lb[V], hb[V], la[V], ha[V];
+  for (std::size_t v = 0; v < V; ++v) {
+    lb[v] = c != nullptr ? _mm512_loadu_si512(c + v * W)
+                         : _mm512_setzero_si512();
+    hb[v] = la[v] = ha[v] = _mm512_setzero_si512();
+  }
+  for (std::size_t t = 0; t < terms; ++t) {
+    const u64* xr = x + t * x_stride;
+    const u64* br = wb + t * w_stride;
+    const u64* ar = wa + t * w_stride;
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < V; ++v) {
+      const __m512i xv = _mm512_loadu_si512(xr + v * W);
+      const __m512i kb = _mm512_loadu_si512(br + v * W);
+      const __m512i ka = _mm512_loadu_si512(ar + v * W);
+      lb[v] = _mm512_madd52lo_epu64(lb[v], xv, kb);
+      hb[v] = _mm512_madd52hi_epu64(hb[v], xv, kb);
+      la[v] = _mm512_madd52lo_epu64(la[v], xv, ka);
+      ha[v] = _mm512_madd52hi_epu64(ha[v], xv, ka);
+    }
+  }
+  for (std::size_t v = 0; v < V; ++v) {
+    _mm512_storeu_si512(out_b + v * W, fold(lb[v], hb[v]));
+    _mm512_storeu_si512(out_a + v * W, fold(la[v], ha[v]));
+  }
+}
+
+void dot_pair(const u64* x, std::size_t x_stride, const u64* c,
+              const u64* wb, const u64* wa, std::size_t w_stride,
+              u64* out_b, u64* out_a, std::size_t terms, std::size_t len,
+              u64 q, u64 q_barrett, u64 r64_op, u64 r64_quo) {
+  if (!fold52(q, q_barrett)) {
+    scalar::dot_pair(x, x_stride, c, wb, wa, w_stride, out_b, out_a, terms,
+                     len, q, q_barrett, r64_op, r64_quo);
+    return;
+  }
+  constexpr std::size_t W = Ifma::W;
+  const Fold52 fold(q, q_barrett, r64_op, r64_quo);
+  const auto at = [&](const u64* p, std::size_t s) {
+    return p != nullptr ? p + s : nullptr;
+  };
+  std::size_t s = 0;
+  for (; s + 4 * W <= len; s += 4 * W) {
+    dot_pair52_cols<4>(x + s, x_stride, at(c, s), wb + s, wa + s, w_stride,
+                       out_b + s, out_a + s, terms, fold);
+  }
+  for (; s + W <= len; s += W) {
+    dot_pair52_cols<1>(x + s, x_stride, at(c, s), wb + s, wa + s, w_stride,
+                       out_b + s, out_a + s, terms, fold);
+  }
+  if (s < len) {
+    scalar::dot_pair(x + s, x_stride, at(c, s), wb + s, wa + s, w_stride,
+                     out_b + s, out_a + s, terms, len - s, q, q_barrett,
+                     r64_op, r64_quo);
   }
 }
 
@@ -404,6 +506,7 @@ const Kernels* avx512ifma_table() {
       // so no q gate is needed.
       K104::barrett_reduce,
       dot,
+      dot_pair,
   };
   return &table;
 }

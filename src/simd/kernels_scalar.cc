@@ -171,6 +171,25 @@ void dot(const u64* x, const u64* w, u64* out, std::size_t terms,
   }
 }
 
+void dot_pair(const u64* x, std::size_t x_stride, const u64* c,
+              const u64* wb, const u64* wa, std::size_t w_stride,
+              u64* out_b, u64* out_a, std::size_t terms, std::size_t len,
+              u64 q, u64 q_barrett, u64 r64_op, u64 r64_quo) {
+  for (std::size_t s = 0; s < len; ++s) {
+    u128 b = c != nullptr ? c[s] : 0;
+    u128 a = 0;
+    for (std::size_t t = 0; t < terms; ++t) {
+      const u128 xv = x[t * x_stride + s];
+      b += xv * wb[t * w_stride + s];
+      a += xv * wa[t * w_stride + s];
+    }
+    out_b[s] = fold_words(static_cast<u64>(b >> 64), static_cast<u64>(b), q,
+                          q_barrett, r64_op, r64_quo);
+    out_a[s] = fold_words(static_cast<u64>(a >> 64), static_cast<u64>(a), q,
+                          q_barrett, r64_op, r64_quo);
+  }
+}
+
 }  // namespace scalar
 
 const Kernels* scalar_table() {
@@ -194,6 +213,7 @@ const Kernels* scalar_table() {
       scalar::rescale_round,
       scalar::barrett_reduce,
       scalar::dot,
+      scalar::dot_pair,
   };
   return &table;
 }

@@ -65,6 +65,11 @@ void barrett_reduce(const u64* x, u64* out, std::size_t n, u64 q,
 void dot(const u64* x, const u64* w, u64* out, std::size_t terms,
          std::size_t len, std::size_t stride, u64 q, u64 q_barrett,
          u64 r64_op, u64 r64_quo);
+// The u128 dot_pair body, on the same terms as dot.
+void dot_pair(const u64* x, std::size_t x_stride, const u64* c,
+              const u64* wb, const u64* wa, std::size_t w_stride,
+              u64* out_b, u64* out_a, std::size_t terms, std::size_t len,
+              u64 q, u64 q_barrett, u64 r64_op, u64 r64_quo);
 
 }  // namespace scalar
 

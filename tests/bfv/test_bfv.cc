@@ -581,6 +581,45 @@ TEST(BatchEncoder, RowSwap) {
   }
 }
 
+// The premise of BSGS MultPoly in slot order: an NTT-domain rotation by
+// r (Galois element 3^r) is the cyclic shift by r within each row of the
+// context's slot map, and 2N - 1 exchanges the two rows. A pure routing
+// property of the ring, so it holds at every N.
+TEST(BfvContext, NttRotationsAreRowShiftsInSlotOrder) {
+  for (std::size_t n : {64, 256, 4096, 8192}) {
+    SCOPED_TRACE(n);
+    const auto ctx = BfvContext::create(BfvParams::test(n));
+    const std::vector<u64>& slot = ctx->slot_to_index();
+    const std::size_t half = n / 2;
+    ASSERT_EQ(slot.size(), n);
+    std::vector<bool> seen(n, false);  // a permutation of the NTT indices
+    for (u64 i : slot) {
+      ASSERT_LT(i, n);
+      ASSERT_FALSE(seen[i]) << i;
+      seen[i] = true;
+    }
+    for (std::size_t r : {std::size_t{1}, std::size_t{2}, std::size_t{31},
+                          n / 8, half - 1}) {
+      SCOPED_TRACE(r);
+      const AutomorphTable table =
+          make_automorph_table_ntt(n, ctx->rotation_galois_element(r));
+      for (std::size_t row = 0; row < 2; ++row) {
+        for (std::size_t j = 0; j < half; ++j) {
+          ASSERT_EQ(table.src_idx[slot[row * half + j]],
+                    slot[row * half + (j + r) % half])
+              << "row " << row << " slot " << j;
+          ASSERT_EQ(table.flip[slot[row * half + j]], 0u);
+        }
+      }
+    }
+    const AutomorphTable swap =
+        make_automorph_table_ntt(n, ctx->row_swap_galois_element());
+    for (std::size_t j = 0; j < n; ++j) {
+      ASSERT_EQ(swap.src_idx[slot[j]], slot[(j + half) % n]) << j;
+    }
+  }
+}
+
 TEST(BatchEncoder, RequiresCompatibleT) {
   // t = 257: 2N = 128 does not divide 256? It does for n=64... use n=256:
   // 2N = 512 does not divide 256.

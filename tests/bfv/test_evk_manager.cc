@@ -213,11 +213,37 @@ TEST(EvkManager, BsgsKeysBuildCoefficientTablesForLeadAndFoldsOnly) {
   EXPECT_EQ(keys->lead[0].r, 2u);
   EXPECT_EQ(keys->lead[1].element, swap);
   EXPECT_EQ(keys->folds[0].element, swap);
-  for (const auto* steps : {&keys->babies, &keys->giants}) {
-    for (const BsgsKeys::Rot& rot : *steps) {
-      EXPECT_EQ(rot.coeff, nullptr) << "r = " << rot.r;
-      EXPECT_EQ(rot.ntt.get(), mgr->automorph_table_ntt(rot.element).get());
+  // A baby carries its key's slot-order operand planes and nothing else:
+  // no routing table, no Shoup-frozen key.
+  const std::vector<u64>& slot = f.ctx->slot_to_index();
+  for (const BsgsKeys::Rot& rot : keys->babies) {
+    EXPECT_EQ(rot.coeff, nullptr) << "r = " << rot.r;
+    EXPECT_EQ(rot.ntt, nullptr) << "r = " << rot.r;
+    EXPECT_EQ(rot.ksk, nullptr) << "r = " << rot.r;
+    ASSERT_NE(rot.slots, nullptr) << "r = " << rot.r;
+    const KeySwitchKey& ksk = gk.get(rot.element);
+    EXPECT_EQ(rot.slots.get(), mgr->frozen_slots(ksk).get());
+    const SlotKsk& planes = *rot.slots;
+    ASSERT_EQ(planes.digits, ksk.b.size());
+    ASSERT_EQ(planes.width * planes.tiles, f.ctx->n());
+    for (std::size_t l = 0; l < ksk.b[0].limbs(); ++l) {
+      for (std::size_t t = 0; t < planes.tiles; ++t) {
+        const u64* block = planes.tile(l, t);
+        for (std::size_t k = 0; k < planes.digits; ++k) {
+          for (std::size_t w = 0; w < planes.width; ++w) {
+            const u64 at = slot[t * planes.width + w];
+            ASSERT_EQ(block[k * planes.width + w], ksk.b[k].limb(l)[at]);
+            ASSERT_EQ(block[(planes.digits + k) * planes.width + w],
+                      ksk.a[k].limb(l)[at]);
+          }
+        }
+      }
     }
+  }
+  for (const BsgsKeys::Rot& rot : keys->giants) {
+    EXPECT_EQ(rot.coeff, nullptr) << "r = " << rot.r;
+    EXPECT_EQ(rot.slots, nullptr) << "r = " << rot.r;
+    EXPECT_EQ(rot.ntt.get(), mgr->automorph_table_ntt(rot.element).get());
   }
   for (const auto* steps : {&keys->lead, &keys->folds}) {
     for (const BsgsKeys::Rot& rot : *steps) {
@@ -236,6 +262,30 @@ TEST(EvkManager, BsgsKeysBuildCoefficientTablesForLeadAndFoldsOnly) {
   EXPECT_TRUE(one_row->babies.empty());
   ASSERT_EQ(one_row->folds.size(), 4u);
   EXPECT_EQ(one_row->folds[0].r, 8u);
+}
+
+// evk.freezes counts keys, not forms: a key frozen into slot order and
+// later into Shoup form (or the other way round) is one freeze.
+TEST(EvkManager, FrozenFormsOfOneKeyCountOneFreeze) {
+  EvkFixture f;
+  auto mgr = EvkManager::shared(f.ctx, "forms");
+  auto gk = f.keygen.make_galois_keys(0, {f.ctx->rotation_galois_element(1),
+                                          f.ctx->rotation_galois_element(2)});
+  const KeySwitchKey& one = gk.get(f.ctx->rotation_galois_element(1));
+  const KeySwitchKey& two = gk.get(f.ctx->rotation_galois_element(2));
+  const u64 f0 = freezes(), h0 = hits();
+  auto slots = mgr->frozen_slots(one);
+  EXPECT_EQ(freezes(), f0 + 1);
+  auto shoup = mgr->frozen(one);
+  EXPECT_EQ(freezes(), f0 + 1);
+  EXPECT_EQ(hits(), h0 + 1);
+  EXPECT_EQ(mgr->frozen_slots(one).get(), slots.get());
+  EXPECT_EQ(mgr->frozen(one).get(), shoup.get());
+  EXPECT_EQ(hits(), h0 + 3);
+  mgr->frozen(two);
+  mgr->frozen_slots(two);
+  EXPECT_EQ(freezes(), f0 + 2);
+  EXPECT_EQ(hits(), h0 + 4);
 }
 
 TEST(EvkManager, EvaluatorsOnOneContextShareTheManager) {

@@ -563,17 +563,18 @@ Ciphertext shoup_sweep_oracle(const BfvContextPtr& ctx, const Evaluator& eval,
   };
   // (Σ_k φ(d_k) ∘ ksk_k, with φ(b) added on the b side) over base_qp.
   const auto rotate_qp = [&](const std::vector<RnsPoly>& digits,
-                             const RnsPoly& b_side, const BsgsKeys::Rot& rot) {
+                             const RnsPoly& b_side, const AutomorphTable& ntt,
+                             const FrozenKsk& ksk) {
     Ciphertext out;
     out.b = RnsPoly(qp, true);
     out.a = RnsPoly(qp, true);
     RnsPoly perm(qp, true);
     for (std::size_t k = 0; k < digits.size(); ++k) {
-      digits[k].automorph_into(*rot.ntt, perm);
-      rot.ksk->b[k].mul_pointwise_acc(perm, out.b);
-      rot.ksk->a[k].mul_pointwise_acc(perm, out.a);
+      digits[k].automorph_into(ntt, perm);
+      ksk.b[k].mul_pointwise_acc(perm, out.b);
+      ksk.a[k].mul_pointwise_acc(perm, out.a);
     }
-    b_side.automorph_into(*rot.ntt, perm);
+    b_side.automorph_into(ntt, perm);
     out.b.add_inplace(perm);
     return out;
   };
@@ -596,10 +597,16 @@ Ciphertext shoup_sweep_oracle(const BfvContextPtr& ctx, const Evaluator& eval,
   Ciphertext p_ct;
   p_ct.b = times_p(ct_q.b);
   p_ct.a = times_p(ct_q.a);
+  // Baby rotations from the session's Galois keys, in NTT order: the
+  // engine's slot-order baby keys are not read here.
   std::vector<ShoupCiphertext> baby(h);
   for (std::size_t i = 0; i < h; ++i) {
+    const u64 element = ctx->rotation_galois_element(i);
     baby[i] = ShoupCiphertext(
-        i == 0 ? p_ct : rotate_qp(digits, p_ct.b, keys->babies[i - 1]));
+        i == 0 ? p_ct
+               : rotate_qp(digits, p_ct.b,
+                           *eval.evk().automorph_table_ntt(element),
+                           *eval.evk().frozen(gk.get(element))));
   }
 
   std::vector<std::vector<u64>> rows(a.rows(), std::vector<u64>(n));
@@ -636,8 +643,9 @@ Ciphertext shoup_sweep_oracle(const BfvContextPtr& ctx, const Evaluator& eval,
       a_coeff.from_ntt();
       RnsPoly a_q(ctx->base_q(), false);
       divide_round_by_last_into(a_coeff, a_q);
+      const BsgsKeys::Rot& rot = keys->giants[j - 1];
       eval.add_inplace(sum,
-                       rotate_qp(decompose(a_q), acc.b, keys->giants[j - 1]));
+                       rotate_qp(decompose(a_q), acc.b, *rot.ntt, *rot.ksk));
     } else {
       sum = acc;
     }

@@ -267,7 +267,7 @@ TEST_P(KernelsFuzzTest, BarrettReduceMatchesScalarForAnyInput) {
 TEST_P(KernelsFuzzTest, DotMatchesPerTermReference) {
   enum class Fill { kRandom, kAllMax, kHeavyLow52 };
   Rng rng(0x51D0010);
-  for (u64 qv : kModuli) {
+  for (u64 qv : {kQ0, kQ1, kP, u64{(1ULL << 50) - 27}, kQbig}) {
     const Modulus q(qv);
     const u64 q_barrett = static_cast<u64>((static_cast<u128>(1) << 64) / qv);
     const u64 r64 = static_cast<u64>((static_cast<u128>(1) << 64) % qv);
@@ -311,6 +311,57 @@ TEST_P(KernelsFuzzTest, DotMatchesPerTermReference) {
             ASSERT_EQ(got[s], want)
                 << "dot terms=" << terms << " len=" << len << " s=" << s
                 << " q=" << qv << " fill=" << static_cast<int>(fill);
+          }
+        }
+      }
+    }
+  }
+}
+
+// dot_pair against the per-term reference at the bodies' extremes: up to
+// 16 terms (within every flush bound), with and without the addend c, at
+// a prime just below 2^50 (the widest IFMA fold words) and at q = 4093,
+// whose Barrett ratio does not fit 52 bits, so the IFMA table falls back
+// to the u128 body. Distinct strides for x and the key planes; span
+// lengths leave vector tails.
+TEST_P(KernelsFuzzTest, DotPairMatchesPerTermReference) {
+  Rng rng(0x51D0011);
+  for (u64 qv : {kQ0, kP, u64{(1ULL << 50) - 27}, u64{4093}, kQbig}) {
+    const Modulus q(qv);
+    const u64 q_barrett = static_cast<u64>((static_cast<u128>(1) << 64) / qv);
+    const u64 r64 = static_cast<u64>((static_cast<u128>(1) << 64) % qv);
+    const u64 r64_quo = shoup_quotient(r64, qv);
+    for (std::size_t terms : {0, 1, 2, 3, 16}) {
+      for (std::size_t len : {1, 7, 8, 9, 31, 32, 33, 64, 71}) {
+        for (bool all_max : {false, true}) {
+          for (bool with_c : {false, true}) {
+            const std::size_t xs = len + 5, ws = len + 2;
+            const auto draw = [&](std::size_t count) {
+              std::vector<u64> v(count);
+              for (u64& e : v) e = all_max ? qv - 1 : rng.uniform(qv);
+              return v;
+            };
+            const auto x = draw(terms * xs + 1);
+            const auto wb = draw(terms * ws + 1);
+            const auto wa = draw(terms * ws + 1);
+            const auto c = draw(len);
+            std::vector<u64> got_b(len), got_a(len);
+            k().dot_pair(x.data(), xs, with_c ? c.data() : nullptr, wb.data(),
+                         wa.data(), ws, got_b.data(), got_a.data(), terms,
+                         len, qv, q_barrett, r64, r64_quo);
+            for (std::size_t s = 0; s < len; ++s) {
+              u64 want_b = with_c ? c[s] : 0, want_a = 0;
+              for (std::size_t t = 0; t < terms; ++t) {
+                want_b = q.add(want_b, q.mul(x[t * xs + s], wb[t * ws + s]));
+                want_a = q.add(want_a, q.mul(x[t * xs + s], wa[t * ws + s]));
+              }
+              ASSERT_EQ(got_b[s], want_b)
+                  << "b terms=" << terms << " len=" << len << " s=" << s
+                  << " q=" << qv << " c=" << with_c;
+              ASSERT_EQ(got_a[s], want_a)
+                  << "a terms=" << terms << " len=" << len << " s=" << s
+                  << " q=" << qv;
+            }
           }
         }
       }
